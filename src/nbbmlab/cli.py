@@ -16,12 +16,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coupling, fbpde, killedbm, stationary, waves
 from .measures import from_positions, wasserstein_w1
-from .nbbm import advance_to, log_trajectory, new_system, save_checkpoint
+from .nbbm import (advance_to, log_trajectory, new_system, parse_init,
+                   save_checkpoint)
 
 SEED_SCHEME = "sha256/v1 + numpy SeedSequence spawn"
 
@@ -48,11 +50,11 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _resolve(defaults: dict, cfg: dict, flags: dict) -> dict:
-    out = dict(defaults)
+def _resolve(sub: str, cfg: dict, flags: dict) -> dict:
+    out = {key: flag.default for key, flag in _FLAGS[sub].items()}
     for k, v in cfg.items():
         key = k.replace("-", "_")
-        if key not in defaults:
+        if key not in out:
             raise ConfigError(f"unknown config key {k!r}")
         out[key] = v
     for k, v in flags.items():
@@ -61,16 +63,10 @@ def _resolve(defaults: dict, cfg: dict, flags: dict) -> dict:
     return out
 
 
-def _int_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(tok) for tok in str(text).split(",") if tok]
-
-
-def _float_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).split(",") if tok]
+def _numbers(text, kind=float) -> list:
+    """A comma-separated list flag (or a JSON list from a config file)."""
+    toks = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    return [kind(tok) for tok in toks if tok != ""]
 
 
 class _OutputDir:
@@ -105,8 +101,6 @@ class _OutputDir:
         self.write_json("resolved-config.json", resolved)
         digests = {}
         for p in sorted(self.files):
-            if p.name == "manifest.json":
-                continue
             digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
         self.write_json("manifest.json", {
             "files": digests,
@@ -123,14 +117,8 @@ def _cmd_simulate(cfg, out):
     n = int(cfg["n"])
     seed = derive_seed(cfg["seed"], "simulate")
     ps = new_system(n, cfg["init"], seed=seed)
-    if cfg["t"] > 0:
-        log_trajectory(ps, float(cfg["t"]), float(cfg["log_interval"]),
-                       out.file("trajectory.csv"))
-    else:
-        with open(out.file("trajectory.csv"), "w") as fh:
-            fh.write("time,L,A,M,n_events\n")
-            fh.write(f"{ps.time!r},{ps.leftmost!r},{ps.median!r},"
-                     f"{ps.barycentre!r},{ps.n_events}\n")
+    log_trajectory(ps, float(cfg["t"]), float(cfg["log_interval"]),
+                   out.file("trajectory.csv"))
     save_checkpoint(ps, out.file("checkpoint.json"))
     summary = {"n": n, "t": ps.time, "n_events": ps.n_events,
                "L": ps.leftmost, "M": ps.barycentre}
@@ -141,9 +129,6 @@ def _cmd_simulate(cfg, out):
 
 def _cmd_stationary(cfg, out):
     n = int(cfg["n"])
-    if cfg["horizon"] is not None and cfg["burn_in"] is not None \
-            and float(cfg["horizon"]) <= float(cfg["burn_in"]):
-        raise ConfigError("conflicting scale parameters: horizon <= burn-in")
     ens = stationary.estimate_stationary(
         n,
         burn_in=cfg["burn_in"], horizon=cfg["horizon"],
@@ -167,7 +152,7 @@ def _cmd_stationary(cfg, out):
 
 def _cmd_velocity(cfg, out):
     rows = []
-    for n in _int_list(cfg["n"]):
+    for n in _numbers(cfg["n"], int):
         est = stationary.estimate_velocity(
             n, horizon=float(cfg["horizon"]),
             n_replicas=int(cfg["replicas"]),
@@ -198,19 +183,17 @@ def _cmd_pde(cfg, out):
         from .measures import tailcdf_from_csv
         init = tailcdf_from_csv(init[5:])
     t_end = float(cfg["t"])
-    saves = _float_list(cfg["save"]) if cfg["save"] else [t_end]
+    saves = _numbers(cfg["save"]) if cfg["save"] else [t_end]
     if scheme == "split_cut":
         traj = fbpde.solve_density(init, t_end, params, save_times=saves)
         for prof in traj.profiles:
             prof.to_csv(out.file(f"profile_t{prof.t:g}.csv"))
-        times, bnd = traj.times, traj.boundary
-        final_l = traj.final.boundary
     else:
         traj = fbpde.solve_cdf(init, t_end, params, save_times=saves)
         for tl, tt in zip(traj.tails, traj.tail_times):
             tl.to_csv(out.file(f"profile_t{tt:g}.csv"))
-        times, bnd = traj.times, traj.boundary
-        final_l = float(bnd[-1])
+    times, bnd = traj.times, traj.boundary
+    final_l = float(bnd[-1])
     rows = [(float(t), float(l), float(l / t) if t > 0 else 0.0)
             for t, l in zip(times[::20], bnd[::20])]
     out.write_csv("boundary.csv", "t,L,L_over_t", rows)
@@ -219,8 +202,6 @@ def _cmd_pde(cfg, out):
 
 
 def _cmd_wave(cfg, out):
-    if cfg["action"] != "dump":
-        raise ConfigError(f"unknown wave action {cfg['action']!r}")
     wave = waves.travelling_wave(float(cfg["c"]))
     xs = np.arange(0.0, float(cfg["xmax"]) + 1e-12, float(cfg["dx"]))
     out.write_csv("wave.csv", "x,density,tail",
@@ -229,22 +210,10 @@ def _cmd_wave(cfg, out):
     return {"c": wave.speed, "points": len(xs), "mean": wave.mean}
 
 
-def _init_spec(text):
-    if text == "zeros":
-        return "zeros"
-    if text == "pimin":
-        return waves.sample_pi_min
-    if text.startswith("pic:"):
-        return waves.travelling_wave(float(text[4:])).sample
-    if text.startswith("delta:"):
-        return ("delta", float(text[6:]))
-    raise ConfigError(f"unknown init {text!r}")
-
-
 def _cmd_couple(cfg, out):
-    ts = _float_list(cfg["t"])
+    ts = _numbers(cfg["t"])
     reports = coupling.contraction_estimate(
-        int(cfg["n"]), _init_spec(cfg["init_a"]), _init_spec(cfg["init_b"]),
+        int(cfg["n"]), cfg["init_a"], cfg["init_b"],
         ts, int(cfg["replicas"]),
         seed=derive_seed(cfg["seed"], "couple"), mode=cfg["mode"])
     out.write_csv("contraction.csv", "t,lhs,rhs,margin",
@@ -261,9 +230,8 @@ def _cmd_killedbm(cfg, out):
         boundary = killedbm.linear_boundary(
             float(cfg["boundary_l0"]), float(cfg["boundary_speed"]),
             float(cfg["t"]) + 1.0)
-    init = _init_spec(cfg["init"])
     samples = killedbm.simulate_killed(
-        init, boundary, float(cfg["t"]), float(cfg["dt"]),
+        cfg["init"], boundary, float(cfg["t"]), float(cfg["dt"]),
         int(cfg["paths"]), seed=derive_seed(cfg["seed"], "killedbm"))
     out.write_csv("tau.csv", "tau",
                   [(float(t),) for t in samples.observed_tau()])
@@ -281,7 +249,7 @@ def _cmd_killedbm(cfg, out):
 
 def _cmd_selection(cfg, out):
     rows = []
-    for n in _int_list(cfg["n"]):
+    for n in _numbers(cfg["n"], int):
         ens = stationary.estimate_stationary(
             n, burn_in=cfg["burn_in"], horizon=cfg["horizon"],
             seed=derive_seed(cfg["seed"], "selection", n), init="pimin")
@@ -376,8 +344,6 @@ def _verify_checks(seed):
 
 
 def _cmd_verify(cfg, out):
-    if cfg["suite"] not in ("quick", "full"):
-        raise ConfigError(f"unknown suite {cfg['suite']!r}")
     seed = derive_seed(cfg["seed"], "verify")
     results = []
     for name, check in _verify_checks(seed):
@@ -392,33 +358,62 @@ def _cmd_verify(cfg, out):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one flag table drives defaults, parser and validation
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "simulate": {"n": 2, "t": 1.0, "init": "zeros", "log_interval": 0.5,
-                 "seed": 0, "out": "out/simulate"},
-    "stationary": {"n": 64, "burn_in": None, "horizon": None,
-                   "delta_sample": 1.0, "centring": "leftmost",
-                   "init": "zeros", "seed": 0, "out": "out/stationary"},
-    "velocity": {"n": "2,64", "replicas": 8, "horizon": 120.0,
-                 "burn_in": 20.0, "seed": 0, "out": "out/velocity"},
-    "pde": {"init": "heaviside", "t": 1.0, "dx": 0.01, "dt": 5e-4,
-            "window": 40.0, "scheme": "split", "save": "",
-            "seed": 0, "out": "out/pde"},
-    "wave": {"action": "dump", "c": math.sqrt(2), "xmax": 20.0, "dx": 0.01,
-             "seed": 0, "out": "out/wave"},
-    "couple": {"n": 64, "init_a": "pimin", "init_b": "pimin", "t": "0.5,1",
-               "replicas": 50, "mode": "restricted", "seed": 0,
-               "out": "out/couple"},
-    "killedbm": {"boundary": "", "boundary_speed": math.sqrt(2),
-                 "boundary_l0": 0.0, "init": "pimin", "t": 1.0, "dt": 1e-3,
-                 "paths": 10000, "seed": 0, "out": "out/killedbm"},
-    "selection": {"n": "16,32", "burn_in": None, "horizon": None, "seed": 0,
-                  "out": "out/selection"},
-    "conjecture": {"lam": 2.0, "t": 10.0, "seed": 0, "out": "out/conjecture"},
-    "verify": {"suite": "quick", "seed": 0, "out": "out/verify"},
-}
+class Flag(NamedTuple):
+    """A flag's kind, default and bounds; a None default is left to the library.
+
+    Kinds: int, float, ints and floats (comma-separated lists, kept as the
+    given string), str, init (a spec of nbbm.parse_init), or a tuple of the
+    allowed choices.  Bounds apply to every entry of a list.
+    """
+
+    kind: object
+    default: object
+    low: float = None       # smallest allowed value
+    above: float = None     # values must exceed this
+    positional: bool = False
+
+
+_FLAGS = {sub: dict(flags, seed=Flag("int", 0), out=Flag("str", f"out/{sub}"))
+          for sub, flags in {
+    "simulate": {"n": Flag("int", 2, 1), "t": Flag("float", 1.0, 0),
+                 "init": Flag("init", "zeros"),
+                 "log_interval": Flag("float", 0.5, above=0)},
+    "stationary": {"n": Flag("int", 64, 1), "burn_in": Flag("float", None, 0),
+                   "horizon": Flag("float", None, 0),
+                   "delta_sample": Flag("float", 1.0, above=0),
+                   "centring": Flag(("leftmost", "median"), "leftmost"),
+                   "init": Flag("init", "zeros")},
+    "velocity": {"n": Flag("ints", "2,64", 2), "replicas": Flag("int", 8, 1),
+                 "horizon": Flag("float", 120.0, 0),
+                 "burn_in": Flag("float", 20.0, 0)},
+    "pde": {"init": Flag("str", "heaviside"), "t": Flag("float", 1.0, 0),
+            "dx": Flag("float", 0.01, above=0),
+            "dt": Flag("float", 5e-4, above=0),
+            "window": Flag("float", 40.0, above=0),
+            "scheme": Flag("str", "split"), "save": Flag("floats", "", 0)},
+    "wave": {"action": Flag(("dump",), "dump", positional=True),
+             "c": Flag("float", math.sqrt(2)), "xmax": Flag("float", 20.0, 0),
+             "dx": Flag("float", 0.01, above=0)},
+    "couple": {"n": Flag("int", 64, 2), "init_a": Flag("init", "pimin"),
+               "init_b": Flag("init", "pimin"),
+               "t": Flag("floats", "0.5,1", 0), "replicas": Flag("int", 50, 2),
+               "mode": Flag(("restricted", "literal"), "restricted")},
+    "killedbm": {"boundary": Flag("str", ""),
+                 "boundary_speed": Flag("float", math.sqrt(2)),
+                 "boundary_l0": Flag("float", 0.0),
+                 "init": Flag("init", "pimin"), "t": Flag("float", 1.0, 0),
+                 "dt": Flag("float", 1e-3, above=0),
+                 "paths": Flag("int", 10000, 1)},
+    "selection": {"n": Flag("ints", "16,32", 1),
+                  "burn_in": Flag("float", None, 0),
+                  "horizon": Flag("float", None, 0)},
+    "conjecture": {"lam": Flag("float", 2.0, above=0),
+                   "t": Flag("float", 10.0, above=0)},
+    "verify": {"suite": Flag(("quick", "full"), "quick")},
+}.items()}
 
 _HANDLERS = {
     "simulate": _cmd_simulate, "stationary": _cmd_stationary,
@@ -428,59 +423,78 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
+# how a flag's value is read as numbers; other kinds have no numeric value
+_NUMBERS = {"int": lambda v: [int(v)], "float": lambda v: [float(v)],
+            "ints": lambda v: _numbers(v, int), "floats": _numbers}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbbmlab",
         description="particle-selection simulator and free-boundary PDE lab")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, *specs):
-        sp = subs.add_parser(name)
+    for sub, flags in _FLAGS.items():
+        sp = subs.add_parser(sub)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        for flag, kw in specs:
-            sp.add_argument(flag, **kw)
-        return sp
-
-    add("simulate", ("--n", {"type": int}), ("--t", {"type": float}),
-        ("--init", {}), ("--log-interval", {"type": float, "dest": "log_interval"}))
-    add("stationary", ("--n", {"type": int}),
-        ("--burn-in", {"type": float, "dest": "burn_in"}),
-        ("--horizon", {"type": float}),
-        ("--delta-sample", {"type": float, "dest": "delta_sample"}),
-        ("--centring", {"choices": ["leftmost", "median"]}), ("--init", {}))
-    add("velocity", ("--n", {}), ("--replicas", {"type": int}),
-        ("--horizon", {"type": float}),
-        ("--burn-in", {"type": float, "dest": "burn_in"}))
-    add("pde", ("--init", {}), ("--t", {"type": float}),
-        ("--dx", {"type": float}), ("--dt", {"type": float}),
-        ("--window", {"type": float}), ("--scheme", {}), ("--save", {}))
-    wave = add("wave", ("--c", {"type": float}), ("--xmax", {"type": float}),
-               ("--dx", {"type": float}))
-    wave.add_argument("action", nargs="?", default=None)
-    add("couple", ("--n", {"type": int}), ("--init-a", {"dest": "init_a"}),
-        ("--init-b", {"dest": "init_b"}), ("--t", {}),
-        ("--replicas", {"type": int}),
-        ("--mode", {"choices": ["restricted", "literal"]}))
-    add("killedbm", ("--boundary", {}),
-        ("--boundary-speed", {"type": float, "dest": "boundary_speed"}),
-        ("--boundary-l0", {"type": float, "dest": "boundary_l0"}),
-        ("--init", {}), ("--t", {"type": float}), ("--dt", {"type": float}),
-        ("--paths", {"type": int}))
-    add("selection", ("--n", {}),
-        ("--burn-in", {"type": float, "dest": "burn_in"}),
-        ("--horizon", {"type": float}))
-    add("conjecture", ("--lam", {"type": float}), ("--t", {"type": float}))
-    add("verify", ("--suite", {}))
+        for key, flag in flags.items():
+            if flag.positional:
+                sp.add_argument(key, nargs="?", default=None)
+            else:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                                default=None,
+                                type={"int": int, "float": float}.get(flag.kind))
     return parser
 
 
-def run(argv) -> int:
-    parser = _build_parser()
+def _check_flag(flag: Flag, value) -> None:
+    if flag.kind == "init":
+        if not isinstance(value, str):
+            raise ValueError(f"{value!r} is not an init spec string")
+        parse_init(value)
+    elif isinstance(flag.kind, tuple) and value not in flag.kind:
+        raise ValueError(f"{value!r} is not one of {', '.join(flag.kind)}")
+    elif flag.kind == "str" and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    for v in _NUMBERS.get(flag.kind, lambda v: [])(value):
+        if not math.isfinite(v):
+            raise ValueError(f"{v!r} is not finite")
+        if flag.low is not None and v < flag.low:
+            raise ValueError(f"must be >= {flag.low:g}")
+        if flag.above is not None and v <= flag.above:
+            raise ValueError(f"must be > {flag.above:g}")
+
+
+def _check_scales(sub: str, cfg: dict) -> None:
+    """Burn-in against horizon, by the library's own defaults and rule."""
     try:
-        ns = parser.parse_args(argv)
+        if sub == "velocity":
+            stationary.check_span(float(cfg["burn_in"]), float(cfg["horizon"]))
+        elif "horizon" in cfg:   # stationary and selection
+            spacing = {"delta_sample": float(cfg["delta_sample"])} \
+                if "delta_sample" in cfg else {}
+            for n in _numbers(cfg["n"], int):
+                stationary.sample_span(n, cfg["burn_in"], cfg["horizon"],
+                                       **spacing)
+    except ValueError as exc:
+        raise ConfigError(f"conflicting scale parameters: {exc}") from exc
+
+
+def _validate(sub: str, cfg: dict) -> None:
+    """Every resolved value against the flag table, before any work starts."""
+    for key, flag in _FLAGS[sub].items():
+        value = cfg[key]
+        if value is None and flag.default is None:
+            continue
+        try:
+            _check_flag(flag, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    _check_scales(sub, cfg)
+
+
+def run(argv) -> int:
+    try:
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     flags = {k: v for k, v in vars(ns).items()
@@ -488,13 +502,9 @@ def run(argv) -> int:
     sub = ns.subcommand
     try:
         cfg_file = load_config(ns.config) if ns.config else {}
-        resolved = _resolve(_DEFAULTS[sub], cfg_file, flags)
-        _validate_common(resolved)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc), "exit": 2}, sort_keys=True))
-        return 2
-    out = _OutputDir(resolved["out"])
-    try:
+        resolved = _resolve(sub, cfg_file, flags)
+        _validate(sub, resolved)   # every input is checked before any work
+        out = _OutputDir(resolved["out"])
         summary = _HANDLERS[sub](resolved, out)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit": 2}, sort_keys=True))
@@ -506,17 +516,6 @@ def run(argv) -> int:
     out.finalise(resolved, resolved.get("seed"))
     print(json.dumps(dict(summary, subcommand=sub), sort_keys=True))
     return 0
-
-
-def _validate_common(cfg: dict) -> None:
-    for key in ("n", "replicas", "paths"):
-        if key in cfg and cfg[key] is not None and not isinstance(cfg[key], str):
-            if int(cfg[key]) < 1:
-                raise ConfigError(f"{key} must be positive")
-    for key in ("t", "horizon", "dt", "dx"):
-        if key in cfg and cfg[key] is not None:
-            if float(cfg[key]) < 0:
-                raise ConfigError(f"{key} must be nonnegative")
 
 
 def main() -> None:

@@ -127,19 +127,15 @@ def _event(cp: CoupledPair) -> None:
     cp.ps_b.n_events += 1
 
 
-def step_coupled(cp: CoupledPair) -> None:
-    """One shared event: diffuse matched pairs, then the coupled jump."""
-    dt = cp.rng.exponential(1.0 / cp.n)
-    _diffuse(cp, dt)
-    _event(cp)
-    cp.matching = monge_match(cp.ps_a.positions, cp.ps_b.positions)
+def _run(cp: CoupledPair, t_end: float, events=math.inf, probe=lambda: None):
+    """The coupled event loop: up to ``events`` shared events before t_end.
 
-
-def advance_coupled(cp: CoupledPair, t_end: float) -> None:
-    if t_end < cp.time:
-        raise ValueError("t_end before current time")
+    When the next event would fall after t_end, diffuse the remaining time
+    and stop.  ``probe()`` runs just before and just after each
+    event (jump and rematch).
+    """
     scale = 1.0 / cp.n
-    while True:
+    while events > 0:
         dt = cp.rng.exponential(scale)
         if cp.time + dt > t_end:
             rem = t_end - cp.time
@@ -147,8 +143,22 @@ def advance_coupled(cp: CoupledPair, t_end: float) -> None:
                 _diffuse(cp, rem)
             return
         _diffuse(cp, dt)
+        probe()
         _event(cp)
         cp.matching = monge_match(cp.ps_a.positions, cp.ps_b.positions)
+        probe()
+        events -= 1
+
+
+def step_coupled(cp: CoupledPair) -> None:
+    """One shared event: diffuse matched pairs, then the coupled jump."""
+    _run(cp, math.inf, events=1)
+
+
+def advance_coupled(cp: CoupledPair, t_end: float) -> None:
+    if t_end < cp.time:
+        raise ValueError("t_end before current time")
+    _run(cp, t_end)
 
 
 @dataclass
@@ -185,15 +195,12 @@ def contraction_estimate(n: int, init_a, init_b, ts, n_replicas: int,
     reports = []
     for k, t in enumerate(t_list):
         growth = math.exp(t)
+        lhs, rhs = float(wt[k].mean()), growth * float(w0.mean())
         reports.append(ContractionReport(
-            t=t,
-            lhs=float(wt[k].mean()),
-            rhs=growth * float(w0.mean()),
-            margin=growth * float(w0.mean()) - float(wt[k].mean()),
+            t=t, lhs=lhs, rhs=rhs, margin=rhs - lhs,
             lhs_se=float(wt[k].std(ddof=1) / math.sqrt(n_replicas)),
             rhs_se=growth * float(w0.std(ddof=1) / math.sqrt(n_replicas)),
-            n_replicas=n_replicas,
-        ))
+            n_replicas=n_replicas))
     return reports[0] if scalar else reports
 
 
@@ -205,22 +212,10 @@ def supermartingale_increments(n: int, init_a, init_b, t_end: float,
     at most W/N per event in expectation and never grows between events.
     """
     cp = new_coupled(n, init_a, init_b, seed=seed)
-    incs = []
-    w_prev = cp.distance()
-    scale = 1.0 / n
-    while cp.time < t_end:
-        dt = cp.rng.exponential(scale)
-        if cp.time + dt > t_end:
-            _diffuse(cp, t_end - cp.time)
-            break
-        _diffuse(cp, dt)
-        w_pre = cp.distance()
-        _event(cp)
-        cp.matching = monge_match(cp.ps_a.positions, cp.ps_b.positions)
-        w_post = cp.distance()
-        incs.append(w_post - w_prev - w_pre / n)
-        w_prev = w_post
-    return np.asarray(incs)
+    w = [cp.distance()]   # W(0), then W(t_k-), W(t_k) for each event k
+    _run(cp, t_end, probe=lambda: w.append(cp.distance()))
+    w = np.asarray(w)
+    return w[2::2] - w[0:-1:2] - w[1::2] / n
 
 
 def marginal_leftmost_displacement(n: int, init, t: float, n_replicas: int,

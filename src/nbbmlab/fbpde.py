@@ -24,7 +24,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import waves
-from .measures import EmpiricalMeasure, TailCdf, from_positions, quantile
+from .measures import (EmpiricalMeasure, TailCdf, from_positions, quantile,
+                       wasserstein_w)
 
 SQRT2 = math.sqrt(2.0)
 MASS_TOL = 1e-6
@@ -304,23 +305,32 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float):
     return out, float(boundary)
 
 
-class _SplitCutStepper:
-    def __init__(self, prof: Profile, params: FlowParams):
+class _Stepper:
+    """State shared by both schemes: grid, time, boundary, CN solvers by dt."""
+
+    left_value = 0.0   # Dirichlet value of the diffused field at the left end
+
+    def __init__(self, grid: np.ndarray, t: float, params: FlowParams):
         self.params = params
-        self.grid = prof.grid.copy()
-        self.u = prof.u.copy()
-        self.t = prof.t
-        self.u, self.boundary = _cut_left_mass(self.grid, self.u, params.dx)
+        self.grid = grid
+        self.t = t
         self._cn = {}
 
-    def _solver(self, dt: float) -> _CrankNicolson:
+    def _diffuse(self, v: np.ndarray, dt: float) -> np.ndarray:
         key = round(dt / self.params.dt, 12)
         if key not in self._cn:
-            self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx, dt)
-        return self._cn[key]
+            self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx, dt,
+                                           self.left_value)
+        return self._cn[key].step(v)
+
+
+class _SplitCutStepper(_Stepper):
+    def __init__(self, prof: Profile, params: FlowParams):
+        super().__init__(prof.grid.copy(), prof.t, params)
+        self.u, self.boundary = _cut_left_mass(self.grid, prof.u, params.dx)
 
     def step(self, dt: float) -> None:
-        u = self._solver(dt).step(self.u)
+        u = self._diffuse(self.u, dt)
         np.clip(u, 0.0, None, out=u)
         u *= math.exp(dt)
         self.u, self.boundary = _cut_left_mass(self.grid, u, self.params.dx)
@@ -349,7 +359,7 @@ class _SplitCutStepper:
             u[-k:] = self.u[:k]
         self.u = u
 
-    def profile(self) -> Profile:
+    def snapshot(self) -> Profile:
         return Profile(self.grid.copy(), self.u.copy(), self.boundary, self.t)
 
 
@@ -362,6 +372,30 @@ def _warm_start(centre: float, params: FlowParams) -> Profile:
     return Profile(grid, u, centre, t0)
 
 
+def _run(stepper: _Stepper, t_end: float, save_times):
+    """The save-time loop of both schemes: step to t_end, snapshot at saves.
+
+    Returns the snapshots, the times at which they were taken, and the time
+    and boundary after every step.
+    """
+    if t_end < stepper.t:
+        raise ValueError("t_end before warm-start time")
+    saves = sorted(set(float(s) for s in save_times) | {float(t_end)})
+    if any(s < stepper.t for s in saves if s < t_end):
+        raise ValueError("save time before warm-start time")
+    snaps, snap_times = [], []
+    times = [stepper.t]
+    boundary = [stepper.boundary]
+    for target in saves:
+        while stepper.t < target - 1e-12:
+            stepper.step(min(stepper.params.dt, target - stepper.t))
+            times.append(stepper.t)
+            boundary.append(stepper.boundary)
+        snaps.append(stepper.snapshot())
+        snap_times.append(stepper.t)
+    return snaps, np.asarray(snap_times), np.asarray(times), np.asarray(boundary)
+
+
 def solve_density(u0, t_end: float, params: FlowParams = None,
                   save_times=()) -> Trajectory:
     """Run the split-cut scheme to t_end, saving profiles at save_times."""
@@ -369,23 +403,9 @@ def solve_density(u0, t_end: float, params: FlowParams = None,
     init = make_initial(u0, params)
     if isinstance(init, tuple):
         init = _warm_start(init[1], params)
-    stepper = _SplitCutStepper(init, params)
-    if t_end < stepper.t:
-        raise ValueError("t_end before warm-start time")
-    saves = sorted(set(float(s) for s in save_times) | {float(t_end)})
-    if any(s < stepper.t for s in saves if s < t_end):
-        raise ValueError("save time before warm-start time")
-    profiles = []
-    times = [stepper.t]
-    boundary = [stepper.boundary]
-    for target in saves:
-        while stepper.t < target - 1e-12:
-            dt = min(params.dt, target - stepper.t)
-            stepper.step(dt)
-            times.append(stepper.t)
-            boundary.append(stepper.boundary)
-        profiles.append(stepper.profile())
-    return Trajectory(profiles, np.asarray(times), np.asarray(boundary), params)
+    profiles, _, times, boundary = _run(_SplitCutStepper(init, params),
+                                        t_end, save_times)
+    return Trajectory(profiles, times, boundary, params)
 
 
 # ---------------------------------------------------------------------------
@@ -413,63 +433,53 @@ def solve_cdf(u0, t_end: float, params: FlowParams = None,
         tails = [p.tail() for p in traj.profiles]
         ttimes = np.asarray([p.t for p in traj.profiles])
         return CdfTrajectory(tails, ttimes, traj.times, traj.boundary, params)
-    return _solve_penalised(u0, t_end, params, save_times)
+    tails, ttimes, times, boundary = _run(_PenalisedStepper(u0, params),
+                                          t_end, save_times)
+    return CdfTrajectory(tails, ttimes, times, boundary, params)
 
 
-def _initial_tail(u0, params: FlowParams) -> TailCdf:
-    if isinstance(u0, TailCdf):
-        return u0
-    if u0 == "heaviside" or u0 == ("delta", 0.0):
-        grid = _window_grid(-max(2.0, 0.1 * params.x_window), params)
-        return step_tail(grid, 0.0)
-    init = make_initial(u0, params)
-    if isinstance(init, tuple):
-        grid = _window_grid(init[1] - max(2.0, 0.1 * params.x_window), params)
-        return step_tail(grid, init[1])
-    return init.tail()
+class _PenalisedStepper(_Stepper):
+    """Penalised tail flow: CN diffusion, then the exact reaction substep."""
 
+    left_value = 1.0
 
-def _solve_penalised(u0, t_end, params, save_times) -> CdfTrajectory:
-    tail0 = _initial_tail(u0, params)
-    dx = params.dx
-    left = float(tail0.grid[0])
-    grid = _window_grid(left, params)
-    v = np.asarray(tail0.value(grid))
-    n = params.n_penalty
-    saves = sorted(set(float(s) for s in save_times) | {float(t_end)})
-    cn = _CrankNicolson(grid.size, dx, params.dt, left_value=1.0)
-    t = 0.0
-    slack = 10.0 * dx
+    def __init__(self, u0, params: FlowParams):
+        # a TailCdf is used as it is: turning it into a density would smooth it
+        init = u0 if isinstance(u0, TailCdf) else make_initial(u0, params)
+        if isinstance(init, tuple):
+            grid = _window_grid(init[1] - max(2.0, 0.1 * params.x_window),
+                                params)
+            init = step_tail(grid, init[1])
+        elif isinstance(init, Profile):
+            init = init.tail()
+        super().__init__(_window_grid(float(init.grid[0]), params), 0.0,
+                         params)
+        self.v = np.asarray(init.value(self.grid))
+        self.boundary = self._read_boundary()
 
-    def read_boundary():
-        idx = np.flatnonzero(v >= 1.0 - slack)
-        b = float(grid[idx[-1]]) if idx.size else float(grid[0])
-        if b > grid[-1] - 0.3 * params.x_window:
+    def _read_boundary(self) -> float:
+        idx = np.flatnonzero(self.v >= 1.0 - 10.0 * self.params.dx)
+        b = float(self.grid[idx[-1]]) if idx.size else float(self.grid[0])
+        if b > self.grid[-1] - 0.3 * self.params.x_window:
             raise ArithmeticError(
                 "front reached the window edge; enlarge x_window")
         return b
 
-    tails, ttimes, times, bnds = [], [], [t], [read_boundary()]
-    for target in saves:
-        while t < target - 1e-12:
-            dt = min(params.dt, target - t)
-            step_cn = cn if dt == params.dt else \
-                _CrankNicolson(grid.size, dx, dt, left_value=1.0)
-            v = step_cn.step(v)
-            np.clip(v, 0.0, 1.0, out=v)
-            v = _penalised_reaction(v, n, dt)
-            np.clip(v, 0.0, 1.0, out=v)
-            t += dt
-            times.append(t)
-            bnds.append(read_boundary())
-        vals = v.copy()
+    def step(self, dt: float) -> None:
+        v = self._diffuse(self.v, dt)
+        np.clip(v, 0.0, 1.0, out=v)
+        v = _penalised_reaction(v, self.params.n_penalty, dt)
+        np.clip(v, 0.0, 1.0, out=v)
+        self.v = v
+        self.t += dt
+        self.boundary = self._read_boundary()
+
+    def snapshot(self) -> TailCdf:
+        vals = self.v.copy()
         vals[0] = 1.0
         vals[-1] = 0.0
         vals = np.minimum.accumulate(vals)
-        tails.append(TailCdf(grid.copy(), vals, validate=False))
-        ttimes.append(t)
-    return CdfTrajectory(tails, np.asarray(ttimes), np.asarray(times),
-                         np.asarray(bnds), params)
+        return TailCdf(self.grid.copy(), vals, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +576,15 @@ def check_boundary_comparison(u0: TailCdf, v0: TailCdf, t: float,
 def sensitivity_check(u0, v0, t: float, params: FlowParams = None,
                       n_atoms: int = 512, slack: float = 0.05):
     """W(u_t, v_t) <= e^t W(u_0, v_0), with scheme slack on the right side."""
-    from .measures import wasserstein_w
     params = params or FlowParams()
-    p0 = make_initial(u0, params)
-    q0 = make_initial(v0, params)
-    if isinstance(p0, tuple) or isinstance(q0, tuple):
-        w0 = _delta_aware_w(p0, q0, params, n_atoms)
-    else:
-        w0 = wasserstein_w(p0.quantile_measure(n_atoms),
-                           q0.quantile_measure(n_atoms))
+
+    def atoms(spec):  # a point mass is n_atoms coincident atoms
+        init = make_initial(spec, params)
+        if isinstance(init, tuple):
+            return from_positions(np.full(n_atoms, init[1]))
+        return init.quantile_measure(n_atoms)
+
+    w0 = wasserstein_w(atoms(u0), atoms(v0))
     pt = solve_density(u0, t, params).final
     qt = solve_density(v0, t, params).final
     wt = wasserstein_w(pt.quantile_measure(n_atoms),
@@ -583,15 +593,6 @@ def sensitivity_check(u0, v0, t: float, params: FlowParams = None,
     ok = wt <= rhs * (1.0 + slack) + 4.0 / n_atoms + params.dx
     return ComparisonReport(ok=ok, worst_margin=float(rhs - wt),
                             detail={"lhs": float(wt), "rhs": float(rhs)})
-
-
-def _delta_aware_w(p0, q0, params, n_atoms):
-    from .measures import wasserstein_w
-    def atoms(spec):
-        if isinstance(spec, tuple):
-            return from_positions(np.full(n_atoms, spec[1]))
-        return spec.quantile_measure(n_atoms)
-    return wasserstein_w(atoms(p0), atoms(q0))
 
 
 @dataclass

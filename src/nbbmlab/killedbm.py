@@ -14,6 +14,7 @@ import numpy as np
 from scipy import stats
 
 from .measures import EmpiricalMeasure, from_positions
+from .nbbm import draw_initial
 
 
 @dataclass
@@ -44,9 +45,6 @@ class BoundaryPath:
             raise ValueError("boundary undefined at requested time")
         out = np.interp(t, self.times, self.values)
         return out if out.ndim else float(out)
-
-    def shifted(self, c: float) -> "BoundaryPath":
-        return BoundaryPath(self.times.copy(), self.values + c)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -100,34 +98,22 @@ class KilledSamples:
         return from_positions(self.survivors)
 
 
-def _draw_initial(init, rng, n):
-    if isinstance(init, tuple) and init[0] == "delta":
-        return np.full(n, float(init[1]))
-    if callable(init):
-        drawn = init(rng, n)
-        return drawn.atoms.copy() if isinstance(drawn, EmpiricalMeasure) \
-            else np.asarray(drawn, dtype=float)
-    if isinstance(init, EmpiricalMeasure):
-        return rng.choice(init.atoms, size=n)
-    raise ValueError(f"unknown initial sampler {init!r}")
-
-
 def simulate_killed(init, boundary: BoundaryPath, t_query: float,
                     dt_mc: float, n_paths: int, seed=None) -> KilledSamples:
     """Simulate Brownian paths from ``init`` killed at the boundary.
 
-    ``init`` is ("delta", a), a callable sampler f(rng, n), or an
-    EmpiricalMeasure to resample from.  Crossing times are assigned to the
-    midpoint of the step in which the bridge decides the kill.
+    ``init`` is any spec of nbbm.parse_init ("zeros", "pimin", "pic:<c>",
+    "delta:<a>", ("delta", a), a sampler f(rng, n), ...).  Crossing times
+    are assigned to the midpoint of the step in which the bridge decides
+    the kill.
     """
     if t_query > boundary.t_max + 1e-12:
         raise ValueError("boundary undefined at requested time")
     rng = np.random.default_rng(seed)
-    x = _draw_initial(init, rng, n_paths)
+    x = draw_initial(init, rng, n_paths)
     tau = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
     t = 0.0
-    first = True
     while t < t_query - 1e-12:
         h = min(dt_mc, t_query - t)
         t1 = t + h
@@ -137,9 +123,7 @@ def simulate_killed(init, boundary: BoundaryPath, t_query: float,
         x0 = x[idx]
         x1 = x0 + rng.standard_normal(idx.size) * math.sqrt(h)
         killed = x1 <= l1
-        if first:
-            first = False
-        else:
+        if t > 0.0:   # no bridge test in the first step
             d0 = x0 - l0
             d1 = x1 - l1
             both_above = ~killed & (d0 > 0)

@@ -67,7 +67,6 @@ class CentringStats:
     leftmost: float          # L(mu) = inf{x : mu([x, inf)) < 1}
     median: float            # A(mu) = inf{x : mu([x, inf)) < 1/2}
     mean: float              # M(mu)
-    abs_first_moment: float  # H(mu)
 
 
 def centring_stats(mu: EmpiricalMeasure) -> CentringStats:
@@ -81,7 +80,6 @@ def centring_stats(mu: EmpiricalMeasure) -> CentringStats:
         leftmost=float(a[0]),
         median=float(a[a.size // 2]),
         mean=float(a.mean()),
-        abs_first_moment=float(np.abs(a).mean()),
     )
 
 
@@ -262,12 +260,6 @@ class TailCdf:
 def tailcdf_from_csv(path) -> TailCdf:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     return TailCdf(data[:, 0], data[:, 1])
-
-
-def empirical_tail_on_grid(mu: EmpiricalMeasure, grid) -> TailCdf:
-    """Tail CDF of an empirical measure sampled on a grid (grid must bracket it)."""
-    grid = np.asarray(grid, dtype=float)
-    return TailCdf(grid, mu.tail(grid))
 
 
 def quantile(u, y):

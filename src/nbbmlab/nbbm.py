@@ -9,10 +9,12 @@ event time.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import waves
 from .measures import EmpiricalMeasure, centring_stats, from_positions, recentre
 
 
@@ -49,81 +51,104 @@ class ParticleSystem:
         return centring_stats(from_positions(self.positions)).median
 
 
-def new_system(n: int, init="zeros", seed=None) -> ParticleSystem:
-    """Fresh system at time 0.
+def parse_init(spec):
+    """The initial-condition vocabulary shared by every particle engine.
 
-    ``init`` is an explicit position sequence, a callable ``f(rng, n)``
-    returning n positions (an iid sampler), or the string "zeros".
+    Returns a sampler f(rng, n).  ``spec`` is "zeros", "pimin" (iid from
+    the minimal wave), "pic:<c>" (iid from the wave of speed c),
+    "delta:<a>" or ("delta", a) (all at a), a callable f(rng, n) returning
+    n positions or an EmpiricalMeasure, or an explicit position sequence.
     """
+    if isinstance(spec, str):
+        kind, _, arg = spec.partition(":")
+        if spec == "pimin":
+            return waves.sample_pi_min
+        if kind == "pic":
+            return waves.travelling_wave(float(arg)).sample
+        if spec == "zeros":
+            kind, arg = "delta", 0.0
+        if kind != "delta":
+            raise ValueError(f"unknown init {spec!r}")
+        spec = (kind, arg)
+    if isinstance(spec, tuple) and spec[0] == "delta":
+        a = float(spec[1])
+        return lambda rng, n: np.full(n, a)
+    return spec if callable(spec) else lambda rng, n: spec
+
+
+def draw_initial(spec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n starting positions drawn from ``spec`` (see parse_init)."""
+    drawn = parse_init(spec)(rng, n)
+    pos = drawn.atoms.copy() if isinstance(drawn, EmpiricalMeasure) \
+        else np.array(drawn, dtype=float)
+    if pos.shape != (n,):
+        raise ValueError("initial positions must have length n")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("non-finite position")
+    return pos
+
+
+def new_system(n: int, init="zeros", seed=None) -> ParticleSystem:
+    """Fresh system at time 0 with positions drawn from ``init`` (parse_init)."""
     if n < 1:
         raise ValueError("need at least one particle")
     rng = np.random.default_rng(seed)
-    if isinstance(init, str):
-        if init != "zeros":
-            raise ValueError(f"unknown init {init!r}")
-        pos = np.zeros(n)
-    elif isinstance(init, tuple) and len(init) == 2 and init[0] == "delta":
-        pos = np.full(n, float(init[1]))
-    elif callable(init):
-        drawn = init(rng, n)
-        pos = drawn.atoms.copy() if isinstance(drawn, EmpiricalMeasure) \
-            else np.asarray(drawn, dtype=float).copy()
-    else:
-        pos = np.asarray(init, dtype=float).copy()
-        if pos.size != n:
-            raise ValueError("explicit positions must have length n")
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("non-finite position")
-    return ParticleSystem(positions=pos, time=0.0, n_events=0, rng=rng, seed=seed)
+    return ParticleSystem(positions=draw_initial(init, rng, n), time=0.0,
+                          n_events=0, rng=rng, seed=seed)
 
 
-def _jump(positions: np.ndarray, rng: np.random.Generator) -> Event:
-    """Leftmost particle (lowest index on ties) jumps onto a uniform other one."""
+def _jump(positions: np.ndarray, rng: np.random.Generator):
+    """Leftmost particle (lowest index on ties) jumps onto a uniform other one.
+
+    Returns (victim, target, displacement).
+    """
     victim = int(np.argmin(positions))
     j = int(rng.integers(positions.size - 1))
     target = j + 1 if j >= victim else j
-    displacement = float(positions[target] - positions[victim])
+    displacement = positions[target] - positions[victim]
     positions[victim] = positions[target]
-    return Event(time=0.0, victim_index=victim, target_index=target,
-                 displacement=displacement)
+    return victim, target, displacement
+
+
+def _run(ps: ParticleSystem, t_end: float, events=math.inf):
+    """The event loop: perform up to ``events`` selection events before t_end.
+
+    When the next event would fall after t_end, diffuse to t_end and return
+    None; otherwise return the last jump of _jump.
+    """
+    n = ps.n
+    rate = 1.0 / (n - 1) if n > 1 else None   # a lone particle never jumps
+    jump = None
+    while events > 0:
+        dt = ps.rng.exponential(rate) if rate else math.inf
+        if ps.time + dt > t_end:
+            rem = t_end - ps.time
+            if rem > 0.0:
+                ps.positions += ps.rng.standard_normal(n) * np.sqrt(rem)
+            ps.time = t_end
+            return None
+        ps.positions += ps.rng.standard_normal(n) * np.sqrt(dt)
+        jump = _jump(ps.positions, ps.rng)
+        ps.time += dt
+        ps.n_events += 1
+        events -= 1
+    return jump
 
 
 def step_event(ps: ParticleSystem) -> Event:
     """Advance to the next selection event and perform the jump."""
     if ps.n < 2:
         raise ValueError("no selection events")
-    dt = ps.rng.exponential(1.0 / (ps.n - 1))
-    ps.positions += ps.rng.standard_normal(ps.n) * np.sqrt(dt)
-    ev = _jump(ps.positions, ps.rng)
-    ps.time += dt
-    ps.n_events += 1
-    ev.time = ps.time
-    return ev
+    victim, target, displacement = _run(ps, math.inf, events=1)
+    return Event(time=ps.time, victim_index=victim, target_index=target,
+                 displacement=float(displacement))
 
 
 def advance_to(ps: ParticleSystem, t_end: float) -> None:
     """Run events up to t_end, then diffuse over the final partial interval."""
     if t_end < ps.time:
         raise ValueError("t_end before current time")
-    n = ps.n
-    if n == 1:
-        if t_end > ps.time:
-            ps.positions += ps.rng.standard_normal(1) * np.sqrt(t_end - ps.time)
-            ps.time = t_end
-        return
-    rate = 1.0 / (n - 1)
-    while True:
-        dt = ps.rng.exponential(rate)
-        if ps.time + dt > t_end:
-            rem = t_end - ps.time
-            if rem > 0.0:
-                ps.positions += ps.rng.standard_normal(n) * np.sqrt(rem)
-            ps.time = t_end
-            return
-        ps.positions += ps.rng.standard_normal(n) * np.sqrt(dt)
-        _jump(ps.positions, ps.rng)
-        ps.time += dt
-        ps.n_events += 1
+    _run(ps, t_end)
 
 
 def snapshot(ps: ParticleSystem, centring: str = "none") -> EmpiricalMeasure:
@@ -136,6 +161,8 @@ def snapshot(ps: ParticleSystem, centring: str = "none") -> EmpiricalMeasure:
 
 def log_trajectory(ps: ParticleSystem, t_end: float, interval: float, path) -> None:
     """Advance to t_end writing CSV rows (time, L, A, M, n_events) every interval."""
+    if not interval > 0:
+        raise ValueError("log interval must be positive")
     with open(path, "w") as fh:
         fh.write("time,L,A,M,n_events\n")
         _write_row(fh, ps)

@@ -26,6 +26,22 @@ def default_burn_in(n: int) -> float:
     return max(50.0, 10.0 * math.log(max(n, 2)) ** 2)
 
 
+def check_span(burn_in: float, horizon: float) -> None:
+    if horizon <= burn_in:
+        raise ValueError("horizon must exceed burn-in")
+
+
+def sample_span(n: int, burn_in: float = None, horizon: float = None,
+                delta_sample: float = 1.0):
+    """Burn-in, horizon and snapshot count of estimate_stationary."""
+    burn_in = default_burn_in(n) if burn_in is None else float(burn_in)
+    horizon = burn_in + 200.0 if horizon is None else float(horizon)
+    count = int(math.floor((horizon - burn_in) / delta_sample))
+    if count < 1:
+        raise ValueError("horizon must exceed burn-in by one sampling interval")
+    return burn_in, horizon, count
+
+
 def batch_means_se(x, n_batches: int = 20) -> float:
     """Standard error of a correlated series via batch means."""
     x = np.asarray(x, dtype=float)
@@ -33,12 +49,6 @@ def batch_means_se(x, n_batches: int = 20) -> float:
     usable = (x.size // b) * b
     means = x[:usable].reshape(b, -1).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(b))
-
-
-def _resolve_init(init):
-    if init == "pimin":
-        return waves.sample_pi_min
-    return init
 
 
 @dataclass
@@ -67,13 +77,9 @@ def estimate_stationary(n: int, burn_in: float = None, horizon: float = None,
     """One long trajectory, recentred snapshots after burn-in, mean tail."""
     if centring not in ("leftmost", "median"):
         raise ValueError(f"unknown centring mode {centring!r}")
-    burn_in = default_burn_in(n) if burn_in is None else float(burn_in)
-    horizon = burn_in + 200.0 if horizon is None else float(horizon)
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn-in")
-    ps = new_system(n, _resolve_init(init), seed=seed)
+    burn_in, horizon, count = sample_span(n, burn_in, horizon, delta_sample)
+    ps = new_system(n, init, seed=seed)
     advance_to(ps, burn_in)
-    count = int(math.floor((horizon - burn_in) / delta_sample))
     snaps = []
     for k in range(1, count + 1):
         advance_to(ps, burn_in + k * delta_sample)
@@ -105,7 +111,7 @@ class VelocityEstimate:
 
 def _velocity_replica(args):
     n, burn_in, horizon, init, seed = args
-    ps = new_system(n, _resolve_init(init), seed=seed)
+    ps = new_system(n, init, seed=seed)
     advance_to(ps, burn_in)
     l0 = ps.leftmost
     advance_to(ps, horizon)
@@ -121,8 +127,7 @@ def estimate_velocity(n: int, horizon: float, n_replicas: int, seed=None,
     """
     if n < 2:
         raise ValueError("velocity needs at least two particles")
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn-in")
+    check_span(burn_in, horizon)
     seeds = np.random.SeedSequence(seed).spawn(n_replicas)
     slopes = np.asarray(map_ordered(
         _velocity_replica,
@@ -164,9 +169,8 @@ def birkhoff_identity_check(n: int, horizon: float, seed=None,
     if n == 1:
         return BirkhoffReport(0.0, 0.0, 0.0, 0.0, 0.0, n=1, horizon=horizon)
     burn_in = min(default_burn_in(n), horizon / 4.0) if burn_in is None else burn_in
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn-in")
-    ps = new_system(n, _resolve_init(init), seed=seed)
+    check_span(burn_in, horizon)
+    ps = new_system(n, init, seed=seed)
     advance_to(ps, burn_in)
     b_samples = []
     dl_samples = []

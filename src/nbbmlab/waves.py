@@ -148,9 +148,6 @@ class TravellingWave:
         u = rng.random(n)
         return from_positions(self.quantile(u))
 
-    def shifted_tail(self, shift: float) -> "ShiftedTail":
-        return ShiftedTail(self, shift)
-
     def median_centred_tail(self) -> "ShiftedTail":
         """Tail of the wave recentred so its median sits at 0."""
         return ShiftedTail(self, -self.median())

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbbmlab
 from nbbmlab import cli
 
 
@@ -63,6 +68,12 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"unknown_key": 1}))
     code, _ = run_cli(["simulate", "--config", str(cfg)], capsys)
     assert code == 2
+    out = tmp_path / "o"
+    for bad in ({"init": [0.0, 1.0]}, {"n": float("inf")}):
+        cfg.write_text(json.dumps(bad))
+        code, _ = run_cli(["simulate", "--config", str(cfg), "--out", str(out)],
+                          capsys)
+        assert code == 2 and not out.exists()
 
 
 def test_conflicting_scales_exit_two(tmp_path, capsys):
@@ -163,12 +174,13 @@ def test_pde_penalised_scheme(tmp_path, capsys):
 def test_couple_smoke(tmp_path, capsys):
     out = tmp_path / "c"
     code, summary = run_cli(["couple", "--n", "16", "--init-a", "pimin",
-                             "--init-b", "pimin", "--t", "0.5",
+                             "--init-b", "pimin", "--t", "0.5,1",
                              "--replicas", "10", "--seed", "3",
                              "--out", str(out)], capsys)
     assert code == 0
     lines = (out / "contraction.csv").read_text().strip().splitlines()
     assert lines[0] == "t,lhs,rhs,margin"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.5, 1.0]
     assert summary["all_ok"] is True
 
 
@@ -202,6 +214,63 @@ def test_conjecture_smoke(tmp_path, capsys):
                              "--out", str(out)], capsys)
     assert code == 0
     assert (out / "conjecture.csv").exists()
+
+
+# one tiny run of every subcommand that takes a particle initial condition
+INIT_RUNS = {
+    "simulate": ["simulate", "--n", "4", "--t", "0.2"],
+    "stationary": ["stationary", "--n", "4", "--burn-in", "1",
+                   "--horizon", "3"],
+    "couple-a": ["couple", "--n", "4", "--t", "0.2", "--replicas", "2"],
+    "couple-b": ["couple", "--n", "4", "--t", "0.2", "--replicas", "2"],
+    "killedbm": ["killedbm", "--t", "0.05", "--paths", "20", "--dt", "0.01"],
+}
+INIT_FLAG = {"couple-a": "--init-a", "couple-b": "--init-b"}
+
+
+@pytest.mark.parametrize("spec", ["zeros", "pimin", "pic:1.5", "delta:0"])
+@pytest.mark.parametrize("run", sorted(INIT_RUNS))
+def test_every_subcommand_takes_every_init(tmp_path, capsys, run, spec):
+    argv = INIT_RUNS[run] + [INIT_FLAG.get(run, "--init"), spec,
+                             "--out", str(tmp_path / "o")]
+    code, summary = run_cli(argv, capsys)
+    assert code == 0, summary
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "pic:1.0", "delta:", "file:x.csv"])
+@pytest.mark.parametrize("run", sorted(INIT_RUNS))
+def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
+    out = tmp_path / "o"
+    argv = INIT_RUNS[run] + [INIT_FLAG.get(run, "--init"), spec,
+                             "--out", str(out)]
+    code, summary = run_cli(argv, capsys)
+    assert code == 2 and "init" in summary["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--log-interval", "0"],
+    ["couple", "--n", "16", "--replicas", "1", "--t", "1"],
+    ["velocity", "--n", "0,1"],
+    ["stationary", "--n", "8", "--burn-in", "5", "--horizon", "5.5"],
+    ["stationary", "--n", "8", "--horizon", "40"],
+    ["killedbm", "--dt", "0"],
+    ["couple", "--t", "0.5,-1"],
+    ["simulate", "--t", "inf"],
+    ["simulate", "--log-interval", "nan"],
+    ["couple", "--t", "nan"],
+    ["velocity", "--n", "2", "--burn-in", "30", "--horizon", "30"],
+], ids=lambda argv: " ".join(argv))
+def test_invalid_input_exits_two_before_work(tmp_path, argv):
+    # a subprocess with a timeout: a regression may hang instead of failing
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(nbbmlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "nbbmlab.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["exit"] == 2
+    assert not out.exists()
 
 
 def test_derive_seed_stable():

@@ -61,6 +61,22 @@ def test_identical_systems_stay_identical():
     assert cp.distance() == 0.0
 
 
+@pytest.mark.parametrize("mode", ["restricted", "literal"])
+@pytest.mark.parametrize("k", [1, 9, 80])
+def test_step_coupled_matches_advance_coupled(mode, k):
+    # the k-th shared event lands exactly on t_k, so the twin performs it too
+    cp = coupling.new_coupled(8, waves.sample_pi_min, "zeros", seed=23, mode=mode)
+    twin = coupling.new_coupled(8, waves.sample_pi_min, "zeros", seed=23,
+                                mode=mode)
+    for _ in range(k):
+        coupling.step_coupled(cp)
+    coupling.advance_coupled(twin, cp.time)
+    for a, b in ((cp.ps_a, twin.ps_a), (cp.ps_b, twin.ps_b)):
+        np.testing.assert_array_equal(b.positions, a.positions)
+        assert b.n_events == a.n_events
+    np.testing.assert_array_equal(twin.matching, cp.matching)
+
+
 def test_translation_preserved_exactly():
     rng = np.random.default_rng(2)
     base = waves.sample_pi_min(rng, 24).atoms

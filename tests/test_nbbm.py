@@ -29,9 +29,9 @@ def test_jump_mechanics():
     seen = set()
     for _ in range(40):
         positions = np.array([0.0, 1.0, 2.0])
-        ev = nbbm._jump(positions, rng)
-        assert ev.victim_index == 0
-        assert ev.displacement >= 0.0
+        victim, target, displacement = nbbm._jump(positions, rng)
+        assert victim == 0 and target in (1, 2)
+        assert displacement == target
         seen.add(tuple(sorted(positions)))
     # victim lands on 1 or on 2; both outcomes occur
     assert seen == {(1.0, 1.0, 2.0), (1.0, 2.0, 2.0)}
@@ -40,10 +40,42 @@ def test_jump_mechanics():
 def test_jump_all_equal_is_noop_on_multiset():
     rng = np.random.default_rng(3)
     positions = np.array([5.0, 5.0, 5.0, 5.0])
-    ev = nbbm._jump(positions, rng)
-    assert ev.victim_index == 0  # lowest index wins the tie
-    assert ev.displacement == 0.0
+    victim, target, displacement = nbbm._jump(positions, rng)
+    assert victim == 0  # lowest index wins the tie
+    assert target != victim
+    assert displacement == 0.0
     np.testing.assert_array_equal(positions, [5.0, 5.0, 5.0, 5.0])
+
+
+def test_init_vocabulary():
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(nbbm.draw_initial("zeros", rng, 3), [0, 0, 0])
+    np.testing.assert_array_equal(nbbm.draw_initial("delta:1.5", rng, 2),
+                                  [1.5, 1.5])
+    np.testing.assert_array_equal(nbbm.draw_initial(("delta", -1), rng, 2),
+                                  [-1.0, -1.0])
+    a = nbbm.new_system(50, "pimin", seed=4)
+    b = nbbm.new_system(50, waves.sample_pi_min, seed=4)
+    np.testing.assert_array_equal(a.positions, b.positions)
+    c = nbbm.new_system(50, "pic:1.6", seed=4)
+    d = nbbm.new_system(50, waves.travelling_wave(1.6).sample, seed=4)
+    np.testing.assert_array_equal(c.positions, d.positions)
+    for bad in ("gaussian", "pic:", "pic:1.0", "delta:x", "zeros:1"):
+        with pytest.raises(ValueError):
+            nbbm.parse_init(bad)
+
+
+@pytest.mark.parametrize("k", [1, 7, 60])
+def test_step_event_matches_advance_to(k):
+    # the k-th event lands exactly on t_k, so the twin performs it too
+    ps = nbbm.new_system(6, waves.sample_pi_min, seed=19)
+    twin = nbbm.new_system(6, waves.sample_pi_min, seed=19)
+    for _ in range(k):
+        nbbm.step_event(ps)
+    nbbm.advance_to(twin, ps.time)
+    np.testing.assert_array_equal(twin.positions, ps.positions)
+    assert twin.n_events == ps.n_events == k
+    assert twin.time == ps.time
 
 
 def test_step_event_requires_two_particles():
@@ -167,3 +199,10 @@ def test_trajectory_log(tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == 2.0
     assert int(last[4]) == ps.n_events
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.5])
+def test_trajectory_log_needs_positive_interval(tmp_path, interval):
+    ps = nbbm.new_system(4, "zeros", seed=9)
+    with pytest.raises(ValueError, match="interval"):
+        nbbm.log_trajectory(ps, 1.0, interval, tmp_path / "traj.csv")
