@@ -7,8 +7,7 @@ comparison calculus), coupling (two-system couplings), killedbm (killed
 Brownian motion), cli (command-line front end).
 """
 
-from . import (cli, coupling, fbpde, killedbm, measures, nbbm, stationary,
-               waves)
+from . import coupling, fbpde, killedbm, measures, nbbm, stationary, waves
 
 __all__ = ["cli", "coupling", "fbpde", "killedbm", "measures", "nbbm",
            "stationary", "waves"]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coupling, fbpde, killedbm, stationary, waves
-from .measures import from_positions, wasserstein_w1
+from .measures import from_positions, tailcdf_from_csv, wasserstein_w1
 from .nbbm import (advance_to, log_trajectory, new_system, parse_init,
                    save_checkpoint)
 
@@ -170,21 +170,32 @@ def _parse_scheme(text):
     if text.startswith("penalised"):
         n = int(text.split(":", 1)[1]) if ":" in text else 64
         return "penalised", n
-    raise ConfigError(f"unknown scheme {text!r}")
+    raise ValueError(f"unknown scheme {text!r}")
 
 
-def _cmd_pde(cfg, out):
+def _pde_inputs(cfg):
+    """Grid parameters and initial condition of a `pde` run.
+
+    Raises OSError or ValueError on an unknown scheme or init, an unreadable
+    init file, or grid parameters the solver rejects.
+    """
     scheme, n_pen = _parse_scheme(cfg["scheme"])
     params = fbpde.FlowParams(dx=float(cfg["dx"]), dt=float(cfg["dt"]),
                               x_window=float(cfg["window"]), scheme=scheme,
                               n_penalty=n_pen or 64)
     init = cfg["init"]
     if init.startswith("file:"):
-        from .measures import tailcdf_from_csv
-        init = tailcdf_from_csv(init[5:])
+        init = tailcdf_from_csv(init[5:])   # checked as a tail on loading
+    else:
+        fbpde.make_initial(init, params)
+    return params, init
+
+
+def _cmd_pde(cfg, out):
+    params, init = _pde_inputs(cfg)
     t_end = float(cfg["t"])
     saves = _numbers(cfg["save"]) if cfg["save"] else [t_end]
-    if scheme == "split_cut":
+    if params.scheme == "split_cut":
         traj = fbpde.solve_density(init, t_end, params, save_times=saves)
         for prof in traj.profiles:
             prof.to_csv(out.file(f"profile_t{prof.t:g}.csv"))
@@ -192,11 +203,17 @@ def _cmd_pde(cfg, out):
         traj = fbpde.solve_cdf(init, t_end, params, save_times=saves)
         for tl, tt in zip(traj.tails, traj.tail_times):
             tl.to_csv(out.file(f"profile_t{tt:g}.csv"))
+    final_l = float(traj.boundary[-1])
     times, bnd = traj.times, traj.boundary
-    final_l = float(bnd[-1])
-    rows = [(float(t), float(l), float(l / t) if t > 0 else 0.0)
-            for t, l in zip(times[::20], bnd[::20])]
-    out.write_csv("boundary.csv", "t,L,L_over_t", rows)
+    if times.size > 1:   # from t = 0 to t_end; a run of no steps has no path
+        path = killedbm.boundary_from_trajectory(traj)
+        times, bnd = path.times, path.values
+    keep = list(range(0, times.size, 20))
+    if keep[-1] != times.size - 1:
+        keep.append(times.size - 1)
+    out.write_csv("boundary.csv", "t,L,L_over_t",
+                  [(float(t), float(l), float(l / t) if t > 0 else 0.0)
+                   for t, l in zip(times[keep], bnd[keep])])
     return {"t_end": t_end, "L": final_l,
             "L_over_t": final_l / t_end if t_end else 0.0}
 
@@ -490,6 +507,11 @@ def _validate(sub: str, cfg: dict) -> None:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     _check_scales(sub, cfg)
+    if sub == "pde":
+        try:
+            _pde_inputs(cfg)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"pde: {exc}") from exc
 
 
 def run(argv) -> int:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import waves
 from .measures import (EmpiricalMeasure, TailCdf, from_positions, quantile,
@@ -240,51 +240,122 @@ def dilate_tail(u0: TailCdf, factor: float) -> TailCdf:
 # ---------------------------------------------------------------------------
 
 class _CrankNicolson:
-    """Tridiagonal CN step for v_t = v_xx / 2 with Dirichlet ends."""
+    """Tridiagonal CN step for v_t = v_xx / 2 with Dirichlet ends.
+
+    The matrix is factored once (LAPACK dgttrf).  A step solves (dgttrs)
+    only the rows [a - P, z + P] around the rows [a, z] where the
+    right-hand side can be nonzero, and leaves every other node 0.  From
+    node a - P on this is the full solve, bit for bit:
+
+    - Left of a the right-hand side is 0, so the full forward sweep is
+      exactly 0 there and may start anywhere left of a.  Back substitution
+      carries the data leftwards with the factor rho = r / d_inf per node,
+      d_inf = (1 + 2r + sqrt(1 + 4r)) / 2, so left of a - P the full solve
+      is within one subnormal ulp of 0.  The cut zeroes those nodes, and
+      its tail sum, of order 1 there, does not see them.
+    - Right of z the forward sweep is bounded by rho^k max|rhs| / (1 - rho).
+      P, worked out each step from max|rhs|, is the number of nodes that
+      takes this bound below half the smallest subnormal; past z + P the
+      full solve is exactly 0.  For rho > 1/2 (r > 2) the rounded sweep
+      never reaches 0: rho times the smallest subnormal rounds back up to
+      it, so the sweep sticks at a few subnormal ulps, which the division
+      by d_inf > 1 + 1 / (1 - rho) rounds to 0.  The full solve thus pays
+      subnormal arithmetic on every node of both zero regions; the span
+      solve does not visit them.
+    - The span never starts inside the top rows that dgttrf interchanges
+      (rows 0-1 for r = 2.5, as d[0] = 1 < r): it starts at 0 instead, as
+      it does whenever the left value is nonzero.
+    """
 
     def __init__(self, n: int, dx: float, dt: float, left_value: float = 0.0):
         r = dt / (4.0 * dx * dx)
         self.n = n
         self.r = r
         self.left_value = left_value
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-1] = -r
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = ab[2, -2] = 0.0
-        self._ab = ab
+        diag = np.full(n, 1.0 + 2.0 * r)
+        diag[0] = diag[-1] = 1.0
+        lower = np.full(n - 1, -r)
+        upper = np.full(n - 1, -r)
+        lower[-1] = upper[0] = 0.0
+        *self._lu, info = dgttrf(lower, diag, upper)
+        if info:
+            raise ArithmeticError("singular Crank-Nicolson matrix")
+        # 1-based row interchanges: rows from _pivoted on have none
+        self._unpivoted = np.arange(1, n + 1, dtype=self._lu[4].dtype)
+        pivoted = np.flatnonzero(self._lu[4] != self._unpivoted)
+        self._pivoted = int(pivoted[-1]) + 1 if pivoted.size else 0
+        rho = r / (0.5 * (1.0 + 2.0 * r + math.sqrt(1.0 + 4.0 * r)))
+        self._log_rho = math.log(rho)
+        # log of (half the smallest subnormal) * (1 - rho)
+        self._log_floor = math.log(math.ulp(0.0)) - math.log(2.0) \
+            + math.log1p(-rho)
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        r = self.r
-        rhs = v.copy()
-        rhs[1:-1] = v[1:-1] + r * (v[:-2] - 2.0 * v[1:-1] + v[2:])
+    def _reach(self, m: float) -> int:
+        """P: nodes over which rho^P m / (1 - rho) falls below ulp(0) / 2."""
+        if not 0.0 < m < math.inf:
+            return self.n if m else 0
+        return int((self._log_floor - math.log(m)) / self._log_rho) + 1
+
+    def step(self, v: np.ndarray, lo: int, hi: int):
+        """One step of v, which is 0 outside v[lo:hi].
+
+        Returns (x, lo, hi): the new field, 0 outside x[lo:hi].
+        """
+        n = self.n
+        # the stencil's reach, within the interior rows
+        a, z = max(lo - 1, 1), min(hi + 1, n - 1)
+        rhs = np.zeros(n)
         rhs[0] = self.left_value
-        rhs[-1] = 0.0
-        return solve_banded((1, 1), self._ab, rhs)
+        # v + r (v_left - 2 v + v_right), evaluated in place in that order
+        mid = rhs[a:z]
+        np.multiply(v[a:z], 2.0, out=mid)
+        np.subtract(v[a - 1:z - 1], mid, out=mid)
+        mid += v[a + 1:z + 1]
+        mid *= self.r
+        mid += v[a:z]
+        reach = self._reach(max(mid.max(), -mid.min(), abs(self.left_value)))
+        lo = 0 if self.left_value else a - reach
+        if lo < self._pivoted:
+            lo = 0
+        hi = min(z + reach, n)
+        dl, d, du, du2, ipiv = self._lu
+        ipiv = ipiv[:hi] if lo == 0 else self._unpivoted[:hi - lo]
+        _, info = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
+                         du2[lo:hi - 2], ipiv, rhs[lo:hi], overwrite_b=True)
+        if info:
+            raise ArithmeticError("Crank-Nicolson solve failed")
+        return rhs, lo, hi
 
 
-def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float):
+def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
+                   hi: int = None):
     """Zero the density left of the point where mass to the right equals 1.
 
     Returns the adjusted density and the sub-cell boundary.  The node just
     left of the boundary keeps the partial-cell value that makes the
-    trapezoidal mass exactly 1.
+    trapezoidal mass exactly 1.  Only u[lo:hi] is read: the density is 0
+    outside it.
     """
-    seg = 0.5 * (u[1:] + u[:-1]) * dx
-    tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+    end = u.size if hi is None else min(hi + 2, u.size)
+    v = u[lo:end]            # with the zero nodes that close the span's cells
+    seg = v[1:] + v[:-1]     # 0.5 (v_k + v_k+1) dx, in place
+    seg *= 0.5
+    seg *= dx
+    tail = np.empty(v.size)  # mass right of each node, summed right to left
+    tail[-1] = 0.0
+    np.cumsum(seg[::-1], out=tail[-2::-1])
     if tail[0] < 1.0 - 1e-9:
         raise ArithmeticError("scheme blowup")
     if tail[0] < 1.0:  # round-off shy of 1: rescale within the guard
-        u = u / tail[0]
+        v = v / tail[0]
         tail = tail / tail[0]
-    j = int(np.flatnonzero(tail >= 1.0)[-1])
-    if j == u.size - 1:
+    j = v.size - 1 - int(np.argmax(tail[::-1] >= 1.0))   # last with tail >= 1
+    if j == v.size - 1:
         raise ArithmeticError("scheme blowup")
     # boundary inside cell [g_j, g_{j+1}]: with linear u the tail is
     # quadratic in the distance s back from g_{j+1}
-    a = 0.5 * (u[j] - u[j + 1]) / dx
-    b = u[j + 1]
+    a = 0.5 * (v[j] - v[j + 1]) / dx
+    b = v[j + 1]
     c = tail[j + 1] - 1.0
     if abs(a) < 1e-14 * max(b, 1.0):
         s = -c / b if b > 0 else dx
@@ -292,17 +363,23 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float):
         disc = max(b * b - 4.0 * a * c, 0.0)
         s = 2.0 * (-c) / (b + math.sqrt(disc))
     s = min(max(s, 0.0), dx)
-    boundary = grid[j + 1] - s
-    out = u.copy()
-    out[: j + 1] = 0.0
+    boundary = grid[lo + j + 1] - s
+    out = np.zeros_like(u)
+    out[lo + j + 1:end] = v[j + 1:]
     # node j keeps the value that makes the trapezoidal mass exactly 1,
     # counting the half-cell on its left: dx*w + dx*u[j+1]/2 + tail[j+1] = 1
-    w = (1.0 - tail[j + 1]) / dx - 0.5 * u[j + 1]
+    w = (1.0 - tail[j + 1]) / dx - 0.5 * v[j + 1]
     if w >= 0.0:
-        out[j] = w
+        out[lo + j] = w
     else:
-        out[j + 1] = (1.0 - tail[j + 2]) / dx - 0.5 * u[j + 2]
+        out[lo + j + 1] = (1.0 - tail[j + 2]) / dx - 0.5 * v[j + 2]
     return out, float(boundary)
+
+
+def _support(u: np.ndarray, lo: int, hi: int):
+    """Smallest span outside which u is 0, given it is 0 outside u[lo:hi]."""
+    nonzero = u[lo:hi] != 0.0
+    return lo + int(nonzero.argmax()), hi - int(nonzero[::-1].argmax())
 
 
 class _Stepper:
@@ -316,24 +393,30 @@ class _Stepper:
         self.t = t
         self._cn = {}
 
-    def _diffuse(self, v: np.ndarray, dt: float) -> np.ndarray:
+    def _diffuse(self, v: np.ndarray, dt: float, lo: int, hi: int):
         key = round(dt / self.params.dt, 12)
         if key not in self._cn:
             self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx, dt,
                                            self.left_value)
-        return self._cn[key].step(v)
+        return self._cn[key].step(v, lo, hi)
 
 
 class _SplitCutStepper(_Stepper):
+    """Split-cut scheme; the density is 0 outside u[span[0]:span[1]]."""
+
     def __init__(self, prof: Profile, params: FlowParams):
         super().__init__(prof.grid.copy(), prof.t, params)
         self.u, self.boundary = _cut_left_mass(self.grid, prof.u, params.dx)
+        self.span = _support(self.u, 0, self.grid.size)
 
     def step(self, dt: float) -> None:
-        u = self._diffuse(self.u, dt)
-        np.clip(u, 0.0, None, out=u)
-        u *= math.exp(dt)
-        self.u, self.boundary = _cut_left_mass(self.grid, u, self.params.dx)
+        u, lo, hi = self._diffuse(self.u, dt, *self.span)
+        live = u[lo:hi]
+        np.maximum(live, 0.0, out=live)
+        live *= math.exp(dt)
+        self.u, self.boundary = _cut_left_mass(self.grid, u, self.params.dx,
+                                               lo, hi)
+        self.span = _support(self.u, lo, min(hi + 2, u.size))
         self.t += dt
         self._maybe_shift_window()
 
@@ -358,6 +441,8 @@ class _SplitCutStepper(_Stepper):
         else:
             u[-k:] = self.u[:k]
         self.u = u
+        lo, hi = self.span
+        self.span = (max(lo - k, 0), min(hi - k, u.size))
 
     def snapshot(self) -> Profile:
         return Profile(self.grid.copy(), self.u.copy(), self.boundary, self.t)
@@ -386,9 +471,16 @@ def _run(stepper: _Stepper, t_end: float, save_times):
     snaps, snap_times = [], []
     times = [stepper.t]
     boundary = [stepper.boundary]
+    dt = stepper.params.dt
     for target in saves:
+        # t += dt gains up to half an ulp of t per step: a remainder within
+        # that drift is round-off, and the last step has reached the target
+        drift = target / dt * math.ulp(target)
         while stepper.t < target - 1e-12:
-            stepper.step(min(stepper.params.dt, target - stepper.t))
+            if target - stepper.t <= drift:
+                stepper.t = times[-1] = target
+                break
+            stepper.step(min(dt, target - stepper.t))
             times.append(stepper.t)
             boundary.append(stepper.boundary)
         snaps.append(stepper.snapshot())
@@ -466,7 +558,7 @@ class _PenalisedStepper(_Stepper):
         return b
 
     def step(self, dt: float) -> None:
-        v = self._diffuse(self.v, dt)
+        v, _, _ = self._diffuse(self.v, dt, 0, self.grid.size)
         np.clip(v, 0.0, 1.0, out=v)
         v = _penalised_reaction(v, self.params.n_penalty, dt)
         np.clip(v, 0.0, 1.0, out=v)

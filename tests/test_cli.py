@@ -162,6 +162,28 @@ def test_pde_and_file_init_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_pde_boundary_feeds_killedbm(tmp_path, capsys):
+    # a warm-started run: its boundary.csv still starts at 0 and ends at t
+    out = tmp_path / "p"
+    code, _ = run_cli(["pde", "--init", "heaviside", "--t", "0.5",
+                       "--out", str(out)], capsys)
+    assert code == 0
+    rows = (out / "boundary.csv").read_text().strip().splitlines()
+    assert float(rows[1].split(",")[0]) == 0.0
+    assert float(rows[-1].split(",")[0]) == 0.5
+    code, summary = run_cli(["killedbm", "--boundary",
+                             str(out / "boundary.csv"), "--t", "0.5",
+                             "--paths", "2000", "--out", str(tmp_path / "k")],
+                            capsys)
+    assert code == 0, summary
+    # a run of no steps still writes its one row
+    code, _ = run_cli(["pde", "--init", "pimin", "--t", "0",
+                       "--out", str(tmp_path / "p0")], capsys)
+    assert code == 0
+    rows = (tmp_path / "p0" / "boundary.csv").read_text().splitlines()
+    assert len(rows) == 2
+
+
 def test_pde_penalised_scheme(tmp_path, capsys):
     out = tmp_path / "pen"
     code, summary = run_cli(["pde", "--init", "heaviside", "--t", "0.1",
@@ -260,6 +282,9 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["simulate", "--log-interval", "nan"],
     ["couple", "--t", "nan"],
     ["velocity", "--n", "2", "--burn-in", "30", "--horizon", "30"],
+    ["pde", "--init", "gaussian"],
+    ["pde", "--scheme", "foo"],
+    ["pde", "--dt", "0.02", "--dx", "0.01"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_input_exits_two_before_work(tmp_path, argv):
     # a subprocess with a timeout: a regression may hang instead of failing
@@ -271,6 +296,8 @@ def test_invalid_input_exits_two_before_work(tmp_path, argv):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["exit"] == 2
     assert not out.exists()
+    # `python -m nbbmlab.cli` runs the module once, not again after the package
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_derive_seed_stable():

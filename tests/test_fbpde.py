@@ -5,9 +5,14 @@ headline checks at the default resolution.
 """
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from nbbmlab import fbpde, waves
 from nbbmlab.measures import quantile
@@ -299,3 +304,129 @@ def test_profile_quantile_measure():
     mu = prof.quantile_measure(500)
     assert mu.n == 500
     assert mu.atoms.mean() == pytest.approx(SQRT2, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# save-time loop and the span solve
+# ---------------------------------------------------------------------------
+
+class ClockStepper:
+    """Stands in for a scheme in fbpde._run: only the clock moves."""
+
+    def __init__(self, dt):
+        self.params = SimpleNamespace(dt=dt)
+        self.t = 0.0
+        self.boundary = 0.0
+        self.steps = []
+
+    def step(self, dt):
+        self.steps.append(dt)
+        self.t += dt
+
+    def snapshot(self):
+        return self.t
+
+
+def test_run_takes_no_round_off_step():
+    # 48000 additions of 6.25e-5 fall 1.3e-12 short of 3
+    clock = ClockStepper(6.25e-5)
+    snaps, snap_times, times, _ = fbpde._run(clock, 3.0, ())
+    assert len(clock.steps) == 48000 and set(clock.steps) == {6.25e-5}
+    assert snaps == [3.0] and list(snap_times) == [3.0] and times[-1] == 3.0
+    # a save time between step points still gets its short step
+    clock = ClockStepper(0.25)
+    _, snap_times, times, _ = fbpde._run(clock, 1.0, (0.6,))
+    assert len(clock.steps) == 5 and min(clock.steps) == pytest.approx(0.1)
+    assert list(snap_times) == [0.6, 1.0] and times.size == 6
+
+
+class FullSolveCN:
+    """The Crank-Nicolson step as one banded solve over the whole window."""
+
+    def __init__(self, n, dx, dt, left_value=0.0):
+        r = dt / (4.0 * dx * dx)
+        self.r = r
+        self.left_value = left_value
+        ab = np.zeros((3, n))
+        ab[0, 1:] = -r
+        ab[1, :] = 1.0 + 2.0 * r
+        ab[2, :-1] = -r
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = ab[2, -2] = 0.0
+        self.ab = ab
+
+    def step(self, v, lo=0, hi=None):
+        rhs = v.copy()
+        rhs[1:-1] = v[1:-1] + self.r * (v[:-2] - 2.0 * v[1:-1] + v[2:])
+        rhs[0] = self.left_value
+        rhs[-1] = 0.0
+        return solve_banded((1, 1), self.ab, rhs), 0, v.size
+
+
+# r = dt / (4 dx^2) = 1.25 (rho < 1/2) and 2.5 (rho > 1/2), 4001 nodes each
+SPAN_GRIDS = [fbpde.FlowParams(dx=0.01, dt=5e-4, x_window=40.0),
+              fbpde.FlowParams(dx=0.0025, dt=6.25e-5, x_window=10.0)]
+
+
+@st.composite
+def zero_padded_fields(draw, n=4001):
+    """A non-negative field, 0 outside field[lo:hi], with its (lo, hi).
+
+    At least 50 zero nodes on the left keep the absorbing left end from
+    taking mass in a few steps.
+    """
+    lo = draw(st.integers(50, n // 2))
+    hi = lo + draw(st.integers(3, n // 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v = np.zeros(n)
+    v[lo:hi] = rng.exponential(size=hi - lo) * (rng.random(hi - lo) > 0.2)
+    v[lo] = v[hi - 1] = 1.0
+    return v * 10.0 ** draw(st.integers(-250, 250)), lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=zero_padded_fields(), left_value=st.sampled_from([0.0, 1.0]))
+@pytest.mark.parametrize("params", SPAN_GRIDS, ids=["r1.25", "r2.5"])
+def test_span_solve_matches_full_solve(params, field, left_value):
+    v, lo, hi = field
+    x, lo, hi = fbpde._CrankNicolson(v.size, params.dx, params.dt,
+                                     left_value).step(v, lo, hi)
+    ref, _, _ = FullSolveCN(v.size, params.dx, params.dt,
+                            left_value).step(v)
+    assert x[lo:].tobytes() == ref[lo:].tobytes()
+    assert not x[:lo].any()
+    # what the span leaves out is within one ulp of 0
+    assert np.all(np.abs(ref[:lo]) <= math.ulp(0.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(field=zero_padded_fields(), k=st.integers(1, 6))
+@pytest.mark.parametrize("params", SPAN_GRIDS, ids=["r1.25", "r2.5"])
+def test_span_steppers_match_full_solve_steppers(params, field, k):
+    v, _, _ = field
+    grid = params.dx * np.arange(v.size)
+    prof = fbpde.Profile(grid, v / np.trapezoid(v, grid), 0.0, 0.0)
+    tail = 0.8 * np.minimum(v / v.max(), 1.0)
+    pen_params = fbpde.FlowParams(dx=params.dx, dt=params.dt,
+                                  x_window=params.x_window, scheme="penalised")
+
+    def run(cn):
+        with mock.patch.object(fbpde, "_CrankNicolson", cn):
+            split = fbpde._SplitCutStepper(prof, params)
+            pen = fbpde._PenalisedStepper(fbpde.step_tail(grid, grid[1]),
+                                          pen_params)
+            pen.v = tail.copy()
+            for _ in range(k):
+                split.step(params.dt)
+                pen.step(params.dt)
+        return split, pen
+
+    (split, pen), (split_ref, pen_ref) = run(fbpde._CrankNicolson), \
+        run(FullSolveCN)
+    assert split.u.tobytes() == split_ref.u.tobytes()
+    assert split.grid.tobytes() == split_ref.grid.tobytes()
+    assert split.boundary == split_ref.boundary
+    lo, hi = split.span
+    assert not split.u[:lo].any() and not split.u[hi:].any()
+    assert pen.v.tobytes() == pen_ref.v.tobytes()
+    assert pen.boundary == pen_ref.boundary
