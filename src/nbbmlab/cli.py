@@ -22,8 +22,7 @@ import numpy as np
 
 from . import coupling, fbpde, killedbm, stationary, waves
 from .measures import from_positions, tailcdf_from_csv, wasserstein_w1
-from .nbbm import (advance_to, log_trajectory, new_system, parse_init,
-                   save_checkpoint)
+from .nbbm import log_trajectory, new_system, parse_init, save_checkpoint
 
 SEED_SCHEME = "sha256/v1 + numpy SeedSequence spawn"
 
@@ -174,11 +173,8 @@ def _parse_scheme(text):
 
 
 def _pde_inputs(cfg):
-    """Grid parameters and initial condition of a `pde` run.
-
-    Raises OSError or ValueError on an unknown scheme or init, an unreadable
-    init file, or grid parameters the solver rejects.
-    """
+    """Grid parameters, initial condition, end and save times of a `pde` run;
+    OSError or ValueError on any of them that the run would reject."""
     scheme, n_pen = _parse_scheme(cfg["scheme"])
     params = fbpde.FlowParams(dx=float(cfg["dx"]), dt=float(cfg["dt"]),
                               x_window=float(cfg["window"]), scheme=scheme,
@@ -186,15 +182,16 @@ def _pde_inputs(cfg):
     init = cfg["init"]
     if init.startswith("file:"):
         init = tailcdf_from_csv(init[5:])   # checked as a tail on loading
-    else:
-        fbpde.make_initial(init, params)
-    return params, init
+    start = fbpde.start_time(init, params)
+    t_end = float(cfg["t"])
+    saves = _numbers(cfg["save"]) if cfg["save"] else [t_end]
+    if min(saves + [t_end]) < start:
+        raise ValueError(f"--t and --save must be >= the warm start {start:g}")
+    return params, init, t_end, saves
 
 
 def _cmd_pde(cfg, out):
-    params, init = _pde_inputs(cfg)
-    t_end = float(cfg["t"])
-    saves = _numbers(cfg["save"]) if cfg["save"] else [t_end]
+    params, init, t_end, saves = _pde_inputs(cfg)
     if params.scheme == "split_cut":
         traj = fbpde.solve_density(init, t_end, params, save_times=saves)
         for prof in traj.profiles:
@@ -240,15 +237,18 @@ def _cmd_couple(cfg, out):
             "margins": [r.margin for r in reports]}
 
 
-def _cmd_killedbm(cfg, out):
+def _kbm_boundary(cfg):
+    """A `killedbm` run's boundary: a `pde` boundary.csv, else a line."""
     if cfg["boundary"]:
-        boundary = killedbm.boundary_from_csv(cfg["boundary"])
-    else:
-        boundary = killedbm.linear_boundary(
-            float(cfg["boundary_l0"]), float(cfg["boundary_speed"]),
-            float(cfg["t"]) + 1.0)
+        return killedbm.boundary_from_csv(cfg["boundary"])
+    return killedbm.linear_boundary(float(cfg["boundary_l0"]),
+                                    float(cfg["boundary_speed"]),
+                                    float(cfg["t"]) + 1.0)
+
+
+def _cmd_killedbm(cfg, out):
     samples = killedbm.simulate_killed(
-        cfg["init"], boundary, float(cfg["t"]), float(cfg["dt"]),
+        cfg["init"], _kbm_boundary(cfg), float(cfg["t"]), float(cfg["dt"]),
         int(cfg["paths"]), seed=derive_seed(cfg["seed"], "killedbm"))
     out.write_csv("tau.csv", "tau",
                   [(float(t),) for t in samples.observed_tau()])
@@ -318,11 +318,10 @@ def _verify_checks(seed):
         mu = waves.sample_pi_min(rng, 4000)
         return abs(mu.atoms.mean() - math.sqrt(2)) < 3.0 / math.sqrt(4000) + 0.02
 
-    def particle_barycentre():
-        ps = new_system(8, waves.sample_pi_min, seed=int(rng.integers(2**32)))
-        advance_to(ps, 2.0)
-        b = (ps.positions - ps.leftmost).mean()
-        return abs(ps.barycentre - (ps.leftmost + b)) < 1e-12
+    def wave_quantile():
+        x = np.concatenate(([0.0], 10.0 ** rng.uniform(-9.0, 2.5, 300)))
+        return all(waves.quantile_inverts_tail(waves.travelling_wave(c), x)
+                   for c in (math.sqrt(2), rng.uniform(math.sqrt(2), 4.0)))
 
     def pde_mass():
         params = fbpde.FlowParams(dx=0.02, dt=0.002, x_window=25.0)
@@ -353,7 +352,7 @@ def _verify_checks(seed):
 
     return [("wave_mass", wave_mass), ("wave_residual", wave_residual),
             ("w1_bruteforce", w1_bruteforce), ("sampler_mean", sampler_mean),
-            ("particle_barycentre", particle_barycentre),
+            ("wave_quantile", wave_quantile),
             ("pde_mass", pde_mass), ("stretch_reflexive", stretch_reflexive),
             ("coupling_diagonal", coupling_diagonal),
             ("killing_exponential", killing_exponential),
@@ -412,8 +411,8 @@ _FLAGS = {sub: dict(flags, seed=Flag("int", 0), out=Flag("str", f"out/{sub}"))
             "window": Flag("float", 40.0, above=0),
             "scheme": Flag("str", "split"), "save": Flag("floats", "", 0)},
     "wave": {"action": Flag(("dump",), "dump", positional=True),
-             "c": Flag("float", math.sqrt(2)), "xmax": Flag("float", 20.0, 0),
-             "dx": Flag("float", 0.01, above=0)},
+             "c": Flag("float", waves.SQRT2, waves.SQRT2 - waves.SPEED_TOL),
+             "xmax": Flag("float", 20.0, 0), "dx": Flag("float", 0.01, above=0)},
     "couple": {"n": Flag("int", 64, 2), "init_a": Flag("init", "pimin"),
                "init_b": Flag("init", "pimin"),
                "t": Flag("floats", "0.5,1", 0), "replicas": Flag("int", 50, 2),
@@ -507,11 +506,12 @@ def _validate(sub: str, cfg: dict) -> None:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     _check_scales(sub, cfg)
-    if sub == "pde":
+    build = {"pde": _pde_inputs, "killedbm": _kbm_boundary}.get(sub)
+    if build:   # the run's input files are read and its inputs built now
         try:
-            _pde_inputs(cfg)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"pde: {exc}") from exc
+            build(cfg)
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(f"{sub}: {exc}") from exc
 
 
 def run(argv) -> int:

@@ -285,8 +285,18 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["pde", "--init", "gaussian"],
     ["pde", "--scheme", "foo"],
     ["pde", "--dt", "0.02", "--dx", "0.01"],
+    ["wave", "--c", "1.0"],
+    ["wave", "--c", "1.3"],
+    ["killedbm", "--boundary", "no/such/boundary.csv"],
+    ["pde", "--save", "0.001"],
+    ["pde", "--t", "0.001"],
+    ["pde", "--init", "file:{step_tail}", "--save", "0.001"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_input_exits_two_before_work(tmp_path, argv):
+    # a step tail read from a file is a point mass, which warm-starts
+    step_tail = tmp_path / "step.csv"
+    step_tail.write_text("x,U\n0.0,1.0\n0.1,0.0\n0.2,0.0\n")
+    argv = [a.format(step_tail=step_tail) for a in argv]
     # a subprocess with a timeout: a regression may hang instead of failing
     out = tmp_path / "o"
     env = dict(os.environ, PYTHONPATH=str(Path(nbbmlab.__file__).parents[1]))
@@ -298,6 +308,16 @@ def test_invalid_input_exits_two_before_work(tmp_path, argv):
     assert not out.exists()
     # `python -m nbbmlab.cli` runs the module once, not again after the package
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_verify_passes_every_check(tmp_path, capsys):
+    out = tmp_path / "v"
+    code, summary = run_cli(["verify", "--seed", "3", "--out", str(out)], capsys)
+    assert code == 0 and summary["failures"] == 0
+    rows = (out / "verify.csv").read_text().splitlines()
+    assert rows[0] == "check,ok" and len(rows) == 1 + summary["checks"]
+    assert "wave_quantile,True" in rows
+    assert all(row.endswith(",True") for row in rows[1:])
 
 
 def test_derive_seed_stable():

@@ -103,7 +103,7 @@ def test_cdf_travelling_wave_transport():
     traj = fbpde.solve_cdf(u0, 1.0, COARSE)
     xs = np.linspace(0.0, 12.0, 500)
     moved = traj.final.value(xs + SQRT2 * 1.0)
-    assert np.max(np.abs(moved - waves.pi_min_tail(xs))) < 0.02
+    assert np.max(np.abs(moved - waves.MINIMAL_WAVE.tail(xs))) < 0.02
 
 
 def test_split_vs_penalised_agree():

@@ -255,7 +255,7 @@ def test_unequal_sizes_quantile_coupling():
 
 def _pimin_tailcdf(dx=0.001, xmax=18.0):
     grid = np.arange(0.0, xmax + dx, dx) - dx
-    vals = waves.pi_min_tail(grid)
+    vals = waves.MINIMAL_WAVE.tail(grid)
     vals[-1] = 0.0
     return ms.TailCdf(grid, vals)
 
@@ -281,7 +281,7 @@ def test_quantile_heaviside():
 def test_quantile_pimin():
     wave = waves.MINIMAL_WAVE
     assert wave.quantile(1.0) == pytest.approx(0.0, abs=1e-10)
-    root = brentq(lambda x: waves.pi_min_tail(x) - 0.5, 0.0, 10.0, xtol=1e-13)
+    root = brentq(lambda x: wave.tail(x) - 0.5, 0.0, 10.0, xtol=1e-13)
     assert root == pytest.approx(1.1867705378248115, abs=1e-9)
     assert wave.quantile(0.5) == pytest.approx(root, abs=1e-9)
     u = _pimin_tailcdf()
@@ -318,7 +318,7 @@ def test_w1_to_analytic_atom_vs_sharp_step():
 
 def test_w1_to_analytic_delta_vs_minimal_wave():
     # int_0^inf (1 + sqrt2 x) e^{-sqrt2 x} dx = sqrt2, cross-checked by quad
-    oracle, _ = quad(lambda x: waves.pi_min_tail(x), 0, 60)
+    oracle, _ = quad(waves.MINIMAL_WAVE.tail, 0, 60)
     assert oracle == pytest.approx(SQRT2, abs=1e-10)
     mu = ms.from_positions([0.0])
     assert ms.w1_to_analytic(mu, waves.MINIMAL_WAVE) == pytest.approx(SQRT2, abs=1e-12)
