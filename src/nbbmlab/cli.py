@@ -187,6 +187,8 @@ def _pde_inputs(cfg):
     saves = _numbers(cfg["save"]) if cfg["save"] else [t_end]
     if min(saves + [t_end]) < start:
         raise ValueError(f"--t and --save must be >= the warm start {start:g}")
+    if max(saves) > t_end:
+        raise ValueError("--save times must be <= --t")
     return params, init, t_end, saves
 
 
@@ -229,7 +231,7 @@ def _cmd_couple(cfg, out):
     reports = coupling.contraction_estimate(
         int(cfg["n"]), cfg["init_a"], cfg["init_b"],
         ts, int(cfg["replicas"]),
-        seed=derive_seed(cfg["seed"], "couple"), mode=cfg["mode"])
+        seed=derive_seed(cfg["seed"], "couple"))
     out.write_csv("contraction.csv", "t,lhs,rhs,margin",
                   [(r.t, r.lhs, r.rhs, r.margin) for r in reports])
     return {"n": int(cfg["n"]),
@@ -415,8 +417,7 @@ _FLAGS = {sub: dict(flags, seed=Flag("int", 0), out=Flag("str", f"out/{sub}"))
              "xmax": Flag("float", 20.0, 0), "dx": Flag("float", 0.01, above=0)},
     "couple": {"n": Flag("int", 64, 2), "init_a": Flag("init", "pimin"),
                "init_b": Flag("init", "pimin"),
-               "t": Flag("floats", "0.5,1", 0), "replicas": Flag("int", 50, 2),
-               "mode": Flag(("restricted", "literal"), "restricted")},
+               "t": Flag("floats", "0.5,1", 0), "replicas": Flag("int", 50, 2)},
     "killedbm": {"boundary": Flag("str", ""),
                  "boundary_speed": Flag("float", math.sqrt(2)),
                  "boundary_l0": Flag("float", 0.0),
@@ -517,7 +518,9 @@ def _validate(sub: str, cfg: dict) -> None:
 def run(argv) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:   # --help, or a usage error printed by argparse
+        if exc.code:
+            print(json.dumps({"error": "invalid arguments", "exit": 2}))
         return 2 if exc.code else 0
     flags = {k: v for k, v in vars(ns).items()
              if k not in ("config", "subcommand")}

@@ -47,7 +47,6 @@ class CoupledPair:
     matching: np.ndarray
     rng: np.random.Generator
     shared_seed: object = None
-    mode: str = "restricted"
 
     @property
     def n(self) -> int:
@@ -62,12 +61,9 @@ class CoupledPair:
                              from_positions(self.ps_b.positions))
 
 
-def new_coupled(n: int, init_a, init_b, seed=None,
-                mode: str = "restricted") -> CoupledPair:
+def new_coupled(n: int, init_a, init_b, seed=None) -> CoupledPair:
     if n < 2:
         raise ValueError("coupling needs at least two particles")
-    if mode not in ("restricted", "literal"):
-        raise ValueError(f"unknown coupling mode {mode!r}")
     rng = np.random.default_rng(seed)
     ps_a = new_system(n, init_a, seed=rng)
     ps_b = new_system(n, init_b, seed=rng)
@@ -75,32 +71,12 @@ def new_coupled(n: int, init_a, init_b, seed=None,
     ps_b.rng = rng
     return CoupledPair(ps_a=ps_a, ps_b=ps_b,
                        matching=monge_match(ps_a.positions, ps_b.positions),
-                       rng=rng, shared_seed=seed, mode=mode)
-
-
-def _restricted_match(pos_a, pos_b, skip_a, skip_b):
-    """Rank matching between the clouds with one index removed from each."""
-    n = pos_a.size
-    idx_a = np.delete(np.arange(n), skip_a)
-    idx_b = np.delete(np.arange(n), skip_b)
-    sub = monge_match(pos_a[idx_a], pos_b[idx_b])
-    out = np.full(n, -1, dtype=int)
-    out[idx_a] = idx_b[sub]
-    return out
-
-
-def _literal_match(matching, skip_a, skip_b):
-    """The appendix-style restriction of the interval matching."""
-    out = matching.copy()
-    if out[skip_a] != skip_b:
-        i_prime = int(np.flatnonzero(matching == skip_b)[0])
-        out[i_prime] = matching[skip_a]
-    out[skip_a] = -1
-    return out
+                       rng=rng, shared_seed=seed)
 
 
 def _diffuse(cp: CoupledPair, dt: float) -> None:
-    g = cp.rng.standard_normal(cp.n) * math.sqrt(dt)
+    g = cp.rng.standard_normal(cp.n)
+    g *= math.sqrt(dt)
     cp.ps_a.positions += g
     cp.ps_b.positions[cp.matching] += g
     cp.ps_a.time += dt
@@ -108,21 +84,35 @@ def _diffuse(cp: CoupledPair, dt: float) -> None:
 
 
 def _event(cp: CoupledPair) -> None:
+    """The coupled jump, leaving cp.matching the rank matching after it.
+
+    One stable argsort per cloud gives the leftmost particles i*, j* (lowest
+    index on ties) and the rank matching perm.  Without the rank-0 pair every
+    other atom stays paired by rank, so the jump source i takes its target
+    from perm[i].  The jump moves i* next to i and j* next to perm[i], both at
+    i's rank, so the new rank matching is perm with those two pairs re-paired
+    by index order; a third atom tying a copied value reorders the ties, and
+    then the matching is recomputed.
+    """
     n = cp.n
     pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
-    i_star = int(np.argmin(pos_a))
-    j_star = int(np.argmin(pos_b))
+    order_a = pos_a.argsort(kind="stable")
+    order_b = pos_b.argsort(kind="stable")
+    perm = cp.matching = np.empty(n, dtype=int)
+    perm[order_a] = order_b
     if cp.rng.random() < 1.0 / n:
         return  # synchronous self-jump: both systems unchanged
+    i_star, j_star = order_a[0], order_b[0]
     k = int(cp.rng.integers(n - 1))
     i = k + 1 if k >= i_star else k
-    if cp.mode == "restricted":
-        iota = _restricted_match(pos_a, pos_b, i_star, j_star)
+    j = perm[i]
+    x = pos_a[i_star] = pos_a[i]
+    y = pos_b[j_star] = pos_b[j]
+    if np.count_nonzero(pos_a == x) == 2 and np.count_nonzero(pos_b == y) == 2:
+        perm[min(i_star, i)] = min(j_star, j)
+        perm[max(i_star, i)] = max(j_star, j)
     else:
-        # proof-style witness: swap the fresh full matching around (i*, j*)
-        iota = _literal_match(monge_match(pos_a, pos_b), i_star, j_star)
-    pos_a[i_star] = pos_a[i]
-    pos_b[j_star] = pos_b[iota[i]]
+        cp.matching = monge_match(pos_a, pos_b)
     cp.ps_a.n_events += 1
     cp.ps_b.n_events += 1
 
@@ -145,7 +135,6 @@ def _run(cp: CoupledPair, t_end: float, events=math.inf, probe=lambda: None):
         _diffuse(cp, dt)
         probe()
         _event(cp)
-        cp.matching = monge_match(cp.ps_a.positions, cp.ps_b.positions)
         probe()
         events -= 1
 
@@ -177,7 +166,7 @@ class ContractionReport:
 
 
 def contraction_estimate(n: int, init_a, init_b, ts, n_replicas: int,
-                         seed=None, mode: str = "restricted"):
+                         seed=None):
     """Replica estimate of E[W_t] against e^t E[W_0] at each requested t."""
     scalar = np.isscalar(ts)
     t_list = [float(ts)] if scalar else sorted(float(t) for t in ts)
@@ -187,7 +176,7 @@ def contraction_estimate(n: int, init_a, init_b, ts, n_replicas: int,
     w0 = np.empty(n_replicas)
     wt = np.empty((len(t_list), n_replicas))
     for r, child in enumerate(ss.spawn(n_replicas)):
-        cp = new_coupled(n, init_a, init_b, seed=child, mode=mode)
+        cp = new_coupled(n, init_a, init_b, seed=child)
         w0[r] = cp.distance()
         for k, t in enumerate(t_list):
             advance_coupled(cp, t)

@@ -476,6 +476,8 @@ def _run(stepper: _Stepper, t_end: float, save_times):
     saves = sorted(set(float(s) for s in save_times) | {float(t_end)})
     if saves[0] < stepper.t:
         raise ValueError("t_end or a save time before the warm-start time")
+    if saves[-1] > t_end:
+        raise ValueError("a save time after t_end")
     snaps, snap_times = [], []
     times = [stepper.t]
     boundary = [stepper.boundary]

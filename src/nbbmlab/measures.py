@@ -285,47 +285,52 @@ def quantile(u, y):
 # W1 between an empirical measure and an analytic (or gridded) tail function
 # ---------------------------------------------------------------------------
 
-def w1_to_analytic(mu: EmpiricalMeasure, f) -> float:
+def w1_to_analytic(mu, f):
     """W1(mu, f) = int |F_mu - F| dx by exact piecewise integration.
 
+    ``mu`` is an EmpiricalMeasure, or a (rows, n) array of sorted atoms for
+    one W1 per row; each row's value has the bits of its own single call.
     ``f`` needs tail(x), tail_integral(x), quantile(y) and support_left:
     a TailCdf or one of the travelling-wave objects qualifies.  The tail of
     f beyond the last atom enters through tail_integral, so exponential
     tails are not truncated.
     """
-    a = mu.atoms
-    n = mu.n
-    fa = np.atleast_1d(f.tail(a))
-    ia = np.atleast_1d(f.tail_integral(a))
+    single = isinstance(mu, EmpiricalMeasure)
+    a = np.atleast_2d(mu.atoms if single else np.asarray(mu, dtype=float))
+    rows, n = a.shape
+    fa = np.asarray(f.tail(a.ravel())).reshape(a.shape)
+    ia = np.asarray(f.tail_integral(a.ravel())).reshape(a.shape)
     if not np.all(np.isfinite(ia)):
         raise ValueError("infinite W1")
-    total = float(ia[-1])  # right piece: G = 0 beyond the last atom
+    total = ia[:, -1].copy()  # right piece: G = 0 beyond the last atom
     # left piece: G = 1 on (-inf, a_1), F = 1 left of support_left
     x_left = f.support_left
-    if a[0] > x_left:
+    left = a[:, 0] > x_left
+    if np.any(left):
         il = float(np.atleast_1d(f.tail_integral(np.array([x_left])))[0])
-        total += (a[0] - x_left) - (il - ia[0])
-    if n == 1:
-        return total
+        total[left] += (a[left, 0] - x_left) - (il - ia[left, 0])
     # interior intervals (a_i, a_{i+1}) with G = (n - i)/n
-    gvals = (n - np.arange(1, n)) / n
-    dx = np.diff(a)
-    d_int = ia[:-1] - ia[1:]
-    lo, hi = fa[:-1], fa[1:]
+    gvals = np.broadcast_to((n - np.arange(1, n)) / n, (rows, n - 1))
+    dx = np.diff(a, axis=1)
+    d_int = ia[:, :-1] - ia[:, 1:]
     live = dx > 0
-    below = live & (lo <= gvals)            # F <= g on the whole interval
-    above = live & (hi >= gvals)            # F >= g on the whole interval
+    below = live & (fa[:, :-1] <= gvals)    # F <= g on the whole interval
+    above = live & (fa[:, 1:] >= gvals)     # F >= g on the whole interval
     crossing = live & ~below & ~above
-    total += float(np.sum(gvals[below] * dx[below] - d_int[below]))
-    total += float(np.sum(d_int[above] - gvals[above] * dx[above]))
-    if np.any(crossing):
-        c = np.atleast_1d(f.quantile(gvals[crossing]))
-        ic = np.atleast_1d(f.tail_integral(c))
-        al, ar = a[:-1][crossing], a[1:][crossing]
-        total += float(np.sum(
-            (ia[:-1][crossing] + ia[1:][crossing] - 2 * ic)
-            + gvals[crossing] * (ar + al - 2 * c)))
-    return total
+    g_dx = gvals * dx
+    pieces = [(g_dx - d_int)[below], (d_int - g_dx)[above]]
+    g = gvals[crossing]
+    c = f.quantile(g) if g.size else g
+    pieces.append((ia[:, :-1][crossing] + ia[:, 1:][crossing]
+                   - 2 * f.tail_integral(c))
+                  + g * (a[:, 1:][crossing] + a[:, :-1][crossing] - 2 * c))
+    # per-row sums over the same compressed arrays as a single call's
+    bounds = [np.concatenate(([0], np.cumsum(m.sum(axis=1)))).tolist()
+              for m in (below, above, crossing)]
+    for r in range(rows):
+        for piece, b in zip(pieces, bounds):
+            total[r] += np.add.reduce(piece[b[r]:b[r + 1]])
+    return float(total[0]) if single else total
 
 
 def w1_between_tails(u1, u2, grid) -> float:

@@ -102,12 +102,19 @@ def _jump(positions: np.ndarray, rng: np.random.Generator):
 
     Returns (victim, target, displacement).
     """
-    victim = int(np.argmin(positions))
+    victim = int(positions.argmin())
     j = int(rng.integers(positions.size - 1))
     target = j + 1 if j >= victim else j
     displacement = positions[target] - positions[victim]
     positions[victim] = positions[target]
     return victim, target, displacement
+
+
+def _diffuse(positions: np.ndarray, rng: np.random.Generator, dt: float):
+    """Independent Gaussian increments of variance dt, scaled in place."""
+    z = rng.standard_normal(positions.size)
+    z *= math.sqrt(dt)
+    positions += z
 
 
 def _run(ps: ParticleSystem, t_end: float, events=math.inf):
@@ -116,19 +123,19 @@ def _run(ps: ParticleSystem, t_end: float, events=math.inf):
     When the next event would fall after t_end, diffuse to t_end and return
     None; otherwise return the last jump of _jump.
     """
-    n = ps.n
-    rate = 1.0 / (n - 1) if n > 1 else None   # a lone particle never jumps
+    positions, rng = ps.positions, ps.rng
+    rate = 1.0 / (ps.n - 1) if ps.n > 1 else None   # a lone particle never jumps
     jump = None
     while events > 0:
-        dt = ps.rng.exponential(rate) if rate else math.inf
+        dt = rng.exponential(rate) if rate else math.inf
         if ps.time + dt > t_end:
             rem = t_end - ps.time
             if rem > 0.0:
-                ps.positions += ps.rng.standard_normal(n) * np.sqrt(rem)
+                _diffuse(positions, rng, rem)
             ps.time = t_end
             return None
-        ps.positions += ps.rng.standard_normal(n) * np.sqrt(dt)
-        jump = _jump(ps.positions, ps.rng)
+        _diffuse(positions, rng, dt)
+        jump = _jump(positions, rng)
         ps.time += dt
         ps.n_events += 1
         events -= 1

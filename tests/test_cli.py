@@ -291,6 +291,8 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["pde", "--save", "0.001"],
     ["pde", "--t", "0.001"],
     ["pde", "--init", "file:{step_tail}", "--save", "0.001"],
+    ["pde", "--init", "pimin", "--t", "0.5", "--save", "2"],
+    ["couple", "--mode", "literal"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_input_exits_two_before_work(tmp_path, argv):
     # a step tail read from a file is a point mass, which warm-starts

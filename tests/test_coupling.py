@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nbbmlab import coupling, waves
@@ -61,13 +63,11 @@ def test_identical_systems_stay_identical():
     assert cp.distance() == 0.0
 
 
-@pytest.mark.parametrize("mode", ["restricted", "literal"])
 @pytest.mark.parametrize("k", [1, 9, 80])
-def test_step_coupled_matches_advance_coupled(mode, k):
+def test_step_coupled_matches_advance_coupled(k):
     # the k-th shared event lands exactly on t_k, so the twin performs it too
-    cp = coupling.new_coupled(8, waves.sample_pi_min, "zeros", seed=23, mode=mode)
-    twin = coupling.new_coupled(8, waves.sample_pi_min, "zeros", seed=23,
-                                mode=mode)
+    cp = coupling.new_coupled(8, waves.sample_pi_min, "zeros", seed=23)
+    twin = coupling.new_coupled(8, waves.sample_pi_min, "zeros", seed=23)
     for _ in range(k):
         coupling.step_coupled(cp)
     coupling.advance_coupled(twin, cp.time)
@@ -80,14 +80,13 @@ def test_step_coupled_matches_advance_coupled(mode, k):
 def test_translation_preserved_exactly():
     rng = np.random.default_rng(2)
     base = waves.sample_pi_min(rng, 24).atoms
-    for mode in ("restricted", "literal"):
-        eps = 0.4
-        cp = coupling.new_coupled(24, base, base + eps, seed=3, mode=mode)
+    eps = 0.4
+    cp = coupling.new_coupled(24, base, base + eps, seed=3)
+    assert cp.distance() == pytest.approx(eps, abs=1e-12)
+    for t in (0.5, 1.0, 2.0):
+        coupling.advance_coupled(cp, t)
         assert cp.distance() == pytest.approx(eps, abs=1e-12)
-        for t in (0.5, 1.0, 2.0):
-            coupling.advance_coupled(cp, t)
-            assert cp.distance() == pytest.approx(eps, abs=1e-12)
-        assert cp.ps_a.n_events == cp.ps_b.n_events
+    assert cp.ps_a.n_events == cp.ps_b.n_events
 
 
 def test_distance_never_exceeds_one():
@@ -139,5 +138,68 @@ def test_marginals_match_plain_system():
 def test_coupled_needs_two_particles_and_valid_mode():
     with pytest.raises(ValueError):
         coupling.new_coupled(1, "zeros", "zeros")
-    with pytest.raises(ValueError, match="mode"):
-        coupling.new_coupled(4, "zeros", "zeros", mode="greedy")
+    with pytest.raises(TypeError, match="mode"):   # one coupling, no knob
+        coupling.new_coupled(4, "zeros", "zeros", mode="literal")
+
+
+# ---------------------------------------------------------------------------
+# The coupled event against its former two-sort implementation
+# ---------------------------------------------------------------------------
+
+def _restricted_match(pos_a, pos_b, skip_a, skip_b):
+    """Rank matching between the clouds with one index removed from each."""
+    n = pos_a.size
+    idx_a = np.delete(np.arange(n), skip_a)
+    idx_b = np.delete(np.arange(n), skip_b)
+    sub = coupling.monge_match(pos_a[idx_a], pos_b[idx_b])
+    out = np.full(n, -1, dtype=int)
+    out[idx_a] = idx_b[sub]
+    return out
+
+
+def reference_event(cp):
+    """The coupled jump by a fresh restricted matching, then a full rematch."""
+    n = cp.n
+    pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
+    i_star = int(np.argmin(pos_a))
+    j_star = int(np.argmin(pos_b))
+    if cp.rng.random() >= 1.0 / n:
+        k = int(cp.rng.integers(n - 1))
+        i = k + 1 if k >= i_star else k
+        iota = _restricted_match(pos_a, pos_b, i_star, j_star)
+        pos_a[i_star] = pos_a[i]
+        pos_b[j_star] = pos_b[iota[i]]
+        cp.ps_a.n_events += 1
+        cp.ps_b.n_events += 1
+    cp.matching = coupling.monge_match(pos_a, pos_b)
+
+
+def lattice_cloud(rng, n, lattice_share):
+    """n positions, each on the lattice {0, 1/2, 1, 3/2} with the given
+    probability and Gaussian otherwise, so that copied values tie."""
+    on_lattice = rng.random(n) < lattice_share
+    return np.where(on_lattice, 0.5 * rng.integers(0, 4, n), rng.normal(size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       lattice_share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+       diffuse_every=st.integers(1, 6))
+def test_event_matches_reference(n, seed, lattice_share, diffuse_every):
+    rng = np.random.default_rng(seed)
+    pos_a = lattice_cloud(rng, n, lattice_share)
+    pos_b = lattice_cloud(rng, n, lattice_share)
+    pairs = [coupling.new_coupled(n, pos_a, pos_b, seed=seed) for _ in range(2)]
+    for step in range(40):
+        if step and step % diffuse_every == 0:   # break some ties, keep others
+            for cp in pairs:
+                coupling._diffuse(cp, 0.01)
+        coupling._event(pairs[0])
+        reference_event(pairs[1])
+        new, ref = pairs
+        assert new.ps_a.positions.tobytes() == ref.ps_a.positions.tobytes()
+        assert new.ps_b.positions.tobytes() == ref.ps_b.positions.tobytes()
+        np.testing.assert_array_equal(new.matching, ref.matching)
+        assert new.ps_a.n_events == ref.ps_a.n_events
+        assert new.ps_b.n_events == ref.ps_b.n_events
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state

@@ -299,6 +299,12 @@ def test_save_before_warm_start_rejected():
         fbpde.solve_density("heaviside", 1.0, COARSE, save_times=[1e-6])
 
 
+def test_save_after_t_end_rejected():
+    for solve in (fbpde.solve_density, fbpde.solve_cdf):
+        with pytest.raises(ValueError, match="after t_end"):
+            solve("pimin", 0.5, COARSE, save_times=[0.25, 2.0])
+
+
 def test_profile_quantile_measure():
     prof = fbpde.make_initial("pimin", COARSE)
     mu = prof.quantile_measure(500)

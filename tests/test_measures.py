@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -354,6 +356,74 @@ def test_w1_to_analytic_against_gridded_tail():
     grid = np.linspace(-2, 4, 600001)
     oracle = np.trapezoid(np.abs(mu.tail(grid) - f.value(grid)), grid)
     assert ms.w1_to_analytic(mu, f) == pytest.approx(oracle, abs=1e-4)
+
+
+def w1_one_measure(mu, f):
+    """W1(mu, f) as it was computed one measure at a time, before stacking."""
+    a, n = mu.atoms, mu.n
+    fa = np.atleast_1d(f.tail(a))
+    ia = np.atleast_1d(f.tail_integral(a))
+    total = float(ia[-1])
+    x_left = f.support_left
+    if a[0] > x_left:
+        il = float(np.atleast_1d(f.tail_integral(np.array([x_left])))[0])
+        total += (a[0] - x_left) - (il - ia[0])
+    if n == 1:
+        return total
+    gvals = (n - np.arange(1, n)) / n
+    dx = np.diff(a)
+    d_int = ia[:-1] - ia[1:]
+    lo, hi = fa[:-1], fa[1:]
+    live = dx > 0
+    below = live & (lo <= gvals)
+    above = live & (hi >= gvals)
+    crossing = live & ~below & ~above
+    total += float(np.sum(gvals[below] * dx[below] - d_int[below]))
+    total += float(np.sum(d_int[above] - gvals[above] * dx[above]))
+    if np.any(crossing):
+        c = np.atleast_1d(f.quantile(gvals[crossing]))
+        ic = np.atleast_1d(f.tail_integral(c))
+        al, ar = a[:-1][crossing], a[1:][crossing]
+        total += float(np.sum(
+            (ia[:-1][crossing] + ia[1:][crossing] - 2 * ic)
+            + gvals[crossing] * (ar + al - 2 * c)))
+    return total
+
+
+def _gridded_wave_tail():
+    grid = np.linspace(-1.0, 9.0, 41)
+    values = waves.MINIMAL_WAVE.tail(grid + 0.5)
+    values[0], values[-1] = 1.0, 0.0
+    return ms.TailCdf(grid, values)
+
+
+W1_TARGETS = {
+    "minimal": waves.MINIMAL_WAVE,
+    "median_centred": waves.MINIMAL_WAVE.median_centred_tail(),
+    "faster": waves.travelling_wave(2.0),
+    "gridded": _gridded_wave_tail(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(sorted(W1_TARGETS)), n=st.integers(1, 48),
+       rows=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       lattice=st.booleans(), shift=st.sampled_from([0.0, -0.8, 2.0]))
+def test_w1_stack_matches_single_calls(target, n, rows, seed, lattice, shift):
+    # rows of sorted atoms, some left of the support, some tied (dx = 0)
+    f = W1_TARGETS[target]
+    rng = np.random.default_rng(seed)
+    draws = 0.25 * rng.integers(0, 12, (rows, n)) if lattice \
+        else waves.MINIMAL_WAVE.quantile(rng.random((rows, n)).ravel())
+    stack = np.sort(np.reshape(draws, (rows, n)), axis=1) + shift
+    got = ms.w1_to_analytic(stack, f)
+    assert got.shape == (rows,)
+    for r in range(rows):
+        mu = ms.EmpiricalMeasure(stack[r])
+        single = ms.w1_to_analytic(mu, f)
+        assert isinstance(single, float)
+        assert got[r].tobytes() == np.float64(single).tobytes()
+        assert single == w1_one_measure(mu, f)
 
 
 # ---------------------------------------------------------------------------

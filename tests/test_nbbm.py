@@ -1,9 +1,12 @@
 """Particle system: jump mechanics, event statistics, determinism."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nbbmlab import nbbm, waves
@@ -187,6 +190,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(restored.positions, ps.positions)
     assert restored.n_events == ps.n_events
     assert restored.time == ps.time
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+       init=st.sampled_from(["zeros", "pimin", "delta:2"]),
+       split=st.floats(0.0, 1.0, exclude_max=True), t=st.floats(0.01, 1.5))
+def test_checkpoint_restore_bit_exact_at_random_split(n, seed, init, split, t):
+    # advance_to(s) discards the wait that overshoots s, so the run that
+    # stopped at s in memory is the reference, not a run straight to t
+    s = split * t
+    ps = nbbm.new_system(n, init, seed=seed)
+    nbbm.advance_to(ps, s)
+    restored = nbbm.from_checkpoint(
+        json.loads(json.dumps(nbbm.checkpoint(ps), sort_keys=True)))
+    nbbm.advance_to(ps, t)
+    nbbm.advance_to(restored, t)
+    assert restored.positions.tobytes() == ps.positions.tobytes()
+    assert restored.time == ps.time == t
+    assert restored.n_events == ps.n_events
+    assert restored.rng.bit_generator.state == ps.rng.bit_generator.state
 
 
 def test_trajectory_log(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nbbmlab import stationary, waves
-from nbbmlab.measures import w1_between_tails
+from nbbmlab.measures import EmpiricalMeasure, w1_between_tails, w1_to_analytic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,3 +161,27 @@ def test_batch_means_se_sane():
     x = rng.normal(size=4000)
     se = stationary.batch_means_se(x)
     assert se == pytest.approx(1.0 / math.sqrt(4000), rel=0.5)
+
+
+@pytest.mark.parametrize("case", ["one", "chunk-1", "chunk", "chunk+1", "several"])
+@pytest.mark.parametrize("centring", ["leftmost", "median"])
+def test_snapshot_gaps_chunked_like_single_calls(case, centring):
+    # snapshot counts on both sides of the rows that fit in one W1 chunk
+    n = 64
+    rows = stationary.W1_CHUNK_ATOMS // n
+    count = {"one": 1, "chunk-1": rows - 1, "chunk": rows, "chunk+1": rows + 1,
+             "several": 2 * rows + 44}[case]
+    rng = np.random.default_rng(count)
+    snaps = []
+    for _ in range(count):
+        atoms = np.sort(waves.MINIMAL_WAVE.quantile(rng.random(n)))
+        shift = atoms[0] if centring == "leftmost" else atoms[n // 2]
+        snaps.append(EmpiricalMeasure(atoms - shift))
+    ens = stationary.StationaryEnsemble(
+        snapshots=snaps, centring=centring, mean_profile=None, n=n,
+        burn_in=0.0, horizon=float(count), delta_sample=1.0)
+    ref = waves.MINIMAL_WAVE if centring == "leftmost" \
+        else waves.MINIMAL_WAVE.median_centred_tail()
+    gaps = stationary.snapshot_gaps(ens)
+    single = np.asarray([w1_to_analytic(s, ref) for s in snaps])
+    assert gaps.tobytes() == single.tobytes()
