@@ -65,13 +65,6 @@ class StationaryEnsemble:
     delta_sample: float
     seed: object = None
 
-    def snapshot_maxima(self) -> np.ndarray:
-        return np.asarray([float(s.atoms[-1]) for s in self.snapshots])
-
-    def mean_profile_first_moment(self) -> float:
-        """E[X] = int_0^inf U(x) dx for the leftmost-centred mean profile."""
-        return float(self.mean_profile.tail_integral(0.0))
-
 
 def estimate_stationary(n: int, burn_in: float = None, horizon: float = None,
                         delta_sample: float = 1.0, centring: str = "leftmost",
@@ -226,17 +219,13 @@ def snapshot_gaps(ensemble: StationaryEnsemble) -> np.ndarray:
                            for k in range(0, len(atoms), rows)])
 
 
-def iid_gap_floor(n: int, n_samples: int, seed=None):
-    """Selection gap of exact iid minimal-wave samples: the sampling floor."""
-    rng = np.random.default_rng(seed)
-    gaps = [w1_to_analytic(waves.sample_pi_min(rng, n), waves.MINIMAL_WAVE)
-            for _ in range(n_samples)]
-    arr = np.asarray(gaps)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(n_samples))
+def fit_log_correction(ns, v_hats, bdmm: bool = False) -> float:
+    """Least-squares a in v(N) = sqrt(2) - a / ln^2 N.
 
-
-def fit_log_correction(ns, v_hats) -> float:
-    """Least-squares a in v(N) = sqrt(2) - a / ln^2 N."""
-    x = 1.0 / np.log(np.asarray(ns, dtype=float)) ** 2
+    With ``bdmm`` the denominator is (ln N + 3 ln ln N)^2, the finite-N
+    correction of Brunet, Derrida, Mueller & Munier (2006).
+    """
+    log_n = np.log(np.asarray(ns, dtype=float))
+    x = 1.0 / (log_n + 3.0 * np.log(log_n) if bdmm else log_n) ** 2
     y = SQRT2 - np.asarray(v_hats, dtype=float)
     return float(np.dot(x, y) / np.dot(x, x))

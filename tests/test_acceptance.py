@@ -93,6 +93,22 @@ def test_criterion_02b_velocity_log_correction_fit(velocity_table):
     assert ok, a_fit
 
 
+def test_criterion_02b_companion_bdmm_velocity_fit(velocity_table):
+    # 02b's true statement: with the finite-N denominator ln N + 3 ln ln N
+    # (Brunet, Derrida, Mueller & Munier 2006) the same table fits a inside
+    # the factor-2 window around pi^2 / sqrt(2)
+    ns = [64, 256, 1024, 4096]
+    a_fit = stationary.fit_log_correction(
+        ns, [velocity_table[n].v_hat for n in ns], bdmm=True)
+    target = math.pi ** 2 / SQRT2
+    ok = target / 2 <= a_fit <= target * 2
+    print(f"[criterion 2b companion] (ln N + 3 ln ln N)^-2 velocity fit: "
+          f"{'PASS' if ok else 'FAIL'} (a = {a_fit:.2f}, "
+          f"target {target:.2f}, factor-2 window "
+          f"[{target / 2:.2f}, {target * 2:.2f}])")
+    assert ok, a_fit
+
+
 # ---------------------------------------------------------------------------
 # 3. Birkhoff identity: time average of b equals the velocity
 # ---------------------------------------------------------------------------

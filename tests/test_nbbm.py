@@ -1,5 +1,6 @@
 """Particle system: jump mechanics, event statistics, determinism."""
 
+import contextlib
 import json
 import math
 
@@ -10,7 +11,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from nbbmlab import nbbm, waves
-from nbbmlab.measures import gap_mean
+from nbbmlab.measures import gap_mean, w1_to_analytic
+
+
+@contextlib.contextmanager
+def forced_lazy():
+    """Every call with N >= 2 runs the lazy loop, however short."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nbbm, "LAZY_MIN_N", 2)
+        mp.setattr(nbbm, "LAZY_MIN_EVENTS", 0)
+        yield
 
 
 def test_new_system_variants():
@@ -178,6 +188,16 @@ def test_determinism_bitwise():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
+    _checkpoint_roundtrip(tmp_path)
+
+
+def test_checkpoint_roundtrip_bit_exact_lazy(tmp_path):
+    with forced_lazy():
+        ps = _checkpoint_roundtrip(tmp_path)
+    assert ps.promotions > 0 and ps.bridge_draws > 0
+
+
+def _checkpoint_roundtrip(tmp_path):
     ps = nbbm.new_system(12, waves.sample_pi_min, seed=5)
     nbbm.advance_to(ps, 1.0)
     path = tmp_path / "ck.json"
@@ -190,13 +210,30 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(restored.positions, ps.positions)
     assert restored.n_events == ps.n_events
     assert restored.time == ps.time
+    return ps
+
+
+split_cases = given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+                    init=st.sampled_from(["zeros", "pimin", "delta:2"]),
+                    split=st.floats(0.0, 1.0, exclude_max=True),
+                    t=st.floats(0.01, 1.5))
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
-       init=st.sampled_from(["zeros", "pimin", "delta:2"]),
-       split=st.floats(0.0, 1.0, exclude_max=True), t=st.floats(0.01, 1.5))
+@split_cases
 def test_checkpoint_restore_bit_exact_at_random_split(n, seed, init, split, t):
+    _checkpoint_split(n, seed, init, split, t)
+
+
+@settings(max_examples=60, deadline=None)
+@split_cases
+def test_checkpoint_restore_bit_exact_at_random_split_lazy(n, seed, init,
+                                                           split, t):
+    with forced_lazy():
+        _checkpoint_split(n, seed, init, split, t)
+
+
+def _checkpoint_split(n, seed, init, split, t):
     # advance_to(s) discards the wait that overshoots s, so the run that
     # stopped at s in memory is the reference, not a run straight to t
     s = split * t
@@ -229,3 +266,103 @@ def test_trajectory_log_needs_positive_interval(tmp_path, interval):
     ps = nbbm.new_system(4, "zeros", seed=9)
     with pytest.raises(ValueError, match="interval"):
         nbbm.log_trajectory(ps, 1.0, interval, tmp_path / "traj.csv")
+
+
+# ---------------------------------------------------------------------------
+# the lazy loop (nbbm._LazyCall): its representation, invariants and oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_first_passage_representation_is_brownian(seed):
+    # a particle at x0 = 2 above a leftmost at 0 turns passive: a level h and
+    # a Levy passage time T; then it is drawn at four increasing random times
+    # as a jump target is (bridge draw, keeping h and T) before T, first after
+    # T as an expired passive is (expire, or value_at as at the end of a
+    # call, on alternate replicas), and as an active particle diffuses after
+    # that.  Its path must be Brownian.
+    reps, x0 = 2000, 2.0
+    rng = np.random.default_rng(seed)
+    lags, levels, after, from_level = [], set(), 0, []
+    marginals = [[] for _ in range(4)]
+    increments = []
+    for r in range(reps):
+        ps = nbbm.new_system(2, [0.0, x0], seed=seed * reps + r)
+        lazy = nbbm._LazyCall(ps)
+        assert lazy.slot[1] < 0 and lazy.slot[0] >= 0
+        t, x, h, T = lazy.table[1]
+        levels.add(h)
+        lags.append(T - t)
+        prev_s, y = 0.0, x0
+        for k, s in enumerate(np.cumsum(rng.exponential(1.0, 4))):
+            if s < T:
+                new = lazy.value_at(np.array([1]), s)[0]
+                lazy.table[1, :2] = s, new
+            elif prev_s < T:
+                new = (lazy.expire(s, T, ps.rng.standard_normal()) if r % 2
+                       else lazy.value_at(np.array([1]), s)[0])
+                from_level.append((new - h) / math.sqrt(s - T))
+                after += 1
+            else:
+                new = y + math.sqrt(s - prev_s) * ps.rng.standard_normal()
+                after += 1
+            marginals[k].append((new - x0) / math.sqrt(s))
+            increments.append((new - y) / math.sqrt(s - prev_s))
+            prev_s, y = s, new
+    (h,) = levels
+    assert h == pytest.approx(nbbm._LEVEL * x0) and lazy.bridge_draws > 0
+    assert 0.1 * 4 * reps < after < 0.9 * 4 * reps   # both branches drawn
+    pvalues = [stats.kstest(lags, stats.levy(scale=(x0 - h) ** 2).cdf).pvalue]
+    pvalues += [stats.kstest(m, "norm").pvalue for m in marginals]
+    pvalues.append(stats.kstest(increments, "norm").pvalue)
+    # given T, the first draw after it is h + N(0, s - T)
+    pvalues.append(stats.kstest(from_level, "norm").pvalue)
+    print(f"seed {seed}: KS p (T, four marginals, increments, after T) =",
+          ", ".join(f"{p:.3g}" for p in pvalues))
+    assert min(pvalues) > 1e-3, pvalues
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       init=st.sampled_from(["zeros", "pimin", "delta:2"]),
+       steps=st.integers(1, 40))
+def test_lazy_step_event_takes_the_leftmost(n, seed, init, steps):
+    with forced_lazy():
+        ps = nbbm.new_system(n, init, seed=seed)
+        for _ in range(steps):
+            ev = nbbm.step_event(ps)
+            assert ev.displacement >= 0.0
+            before = ps.positions[ev.victim_index] - ev.displacement
+            assert ps.positions.min() >= before - 1e-12 * (1.0 + abs(before))
+    assert ps.n_events == steps
+
+
+def _oracle_sample(n, calls, span, reps, seed):
+    out = []
+    for r in range(reps):
+        ps = nbbm.new_system(n, "pimin", seed=seed + r)
+        l0 = ps.leftmost
+        for k in range(1, calls + 1):
+            nbbm.advance_to(ps, k * span)
+        gap = w1_to_analytic(nbbm.snapshot(ps, "leftmost"), waves.MINIMAL_WAVE)
+        out.append((ps.leftmost - l0, ps.n_events, gap))
+    return np.asarray(out), ps
+
+
+@pytest.mark.parametrize("n, calls, span, reps", [(8, 2, 10.0, 400),
+                                                  (64, 2, 2.0, 300),
+                                                  (512, 3, 0.5, 200)])
+def test_lazy_loop_matches_plain_loop(n, calls, span, reps):
+    # every call spans > 64 events, so demotions run inside the calls
+    plain, _ = _oracle_sample(n, calls, span, reps, 50_000 + 1000 * n)
+    with forced_lazy():
+        lazy, last = _oracle_sample(n, calls, span, reps, 60_000 + 1000 * n)
+    assert last.promotions > 0 and last.bridge_draws > 0
+    lines = []
+    for k, name in enumerate(("L_t - L_0", "n_events", "gap")):
+        a, b = plain[:, k], lazy[:, k]
+        p = stats.ks_2samp(a, b).pvalue
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(reps)
+        lines.append(f"{name}: {a.mean():.4f} / {b.mean():.4f}, KS p {p:.3g}")
+        assert p > 1e-3, lines
+        assert abs(a.mean() - b.mean()) < 3.0 * se, lines
+    print(f"N={n} plain / lazy:", "; ".join(lines))

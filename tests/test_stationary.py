@@ -56,7 +56,7 @@ def test_mean_profiles_agree_across_seeds_and_starts():
         per_snap = np.asarray([s.atoms.mean() for s in ens.snapshots])
         moments.append(per_snap.mean())
         ses.append(stationary.batch_means_se(per_snap))
-        assert ens.mean_profile_first_moment() == pytest.approx(
+        assert ens.mean_profile.tail_integral(0.0) == pytest.approx(
             per_snap.mean(), abs=0.02)
     assert abs(moments[0] - moments[1]) < 3 * math.hypot(ses[0], ses[1])
     assert abs(moments[0] - moments[2]) < 3 * math.hypot(ses[0], ses[2])
@@ -122,38 +122,13 @@ def test_median_centred_gap_decreases_with_n():
     assert diff > 3 * math.hypot(gaps[8][1], gaps[64][1])
 
 
-def test_gap_exceeds_iid_floor():
-    ens = stationary.estimate_stationary(64, burn_in=60.0, horizon=260.0,
-                                         seed=42, init="pimin")
-    gap, se = stationary.selection_gap_report(ens)
-    floor, fse = stationary.iid_gap_floor(64, 50, seed=9)
-    assert gap > floor  # stationary shape bias adds to sampling noise
-    assert floor > 0.05
-
-
-def test_max_gap_shows_no_drift():
-    ens = stationary.estimate_stationary(16, burn_in=30.0, horizon=430.0,
-                                         seed=14, init="pimin")
-    maxima = ens.snapshot_maxima()
-    half = maxima.size // 2
-    first, second = maxima[:half], maxima[half:]
-    se = math.hypot(stationary.batch_means_se(first),
-                    stationary.batch_means_se(second))
-    assert abs(first.mean() - second.mean()) < 4 * se
-
-
-def test_mean_profile_first_moment_bounded():
-    ens = stationary.estimate_stationary(32, burn_in=40.0, horizon=240.0,
-                                         seed=15, init="pimin")
-    per_snap = np.asarray([s.atoms.mean() for s in ens.snapshots])
-    se = stationary.batch_means_se(per_snap)
-    assert ens.mean_profile_first_moment() <= SQRT2 + 3 * se
-
-
 def test_fit_log_correction_recovers_synthetic():
     ns = np.array([64, 256, 1024, 4096])
     v = SQRT2 - 6.5 / np.log(ns) ** 2
     assert stationary.fit_log_correction(ns, v) == pytest.approx(6.5)
+    log_n = np.log(ns)
+    v = SQRT2 - 9.0 / (log_n + 3.0 * np.log(log_n)) ** 2
+    assert stationary.fit_log_correction(ns, v, bdmm=True) == pytest.approx(9.0)
 
 
 def test_batch_means_se_sane():

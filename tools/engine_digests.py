@@ -10,8 +10,10 @@ checkouts and diffing the outputs shows whether a change altered a single
 bit of the particle loop, the coupled loop, the W1 gaps or the velocity
 estimate.  The batteries:
 
-- ``nbbm``: advance_to and step_event at N in {1, 2, 3, 64, 1024} from
-  zeros, pimin and delta:2;
+- ``nbbm``: advance_to and step_event at N in {1, 2, 3, 64} from zeros,
+  pimin and delta:2, all below nbbm.LAZY_MIN_N;
+- ``nbbm_lazy``: the same at N in {1024, 4096}, where advance_to runs the
+  lazy loop (step_event, one event a call, stays plain);
 - ``coupling``: step_coupled and advance_coupled at N in
   {2, 3, 16, 64, 256}, over several pairs of starts;
 - ``supermartingale``: supermartingale_increments;
@@ -29,7 +31,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-NBBM_SIZES = (1, 2, 3, 64, 1024)
+NBBM_SIZES = (1, 2, 3, 64)
+LAZY_SIZES = (1024, 4096)
 COUPLED_SIZES = (2, 3, 16, 64, 256)
 INITS = ("zeros", "pimin", "delta:2")
 
@@ -47,23 +50,25 @@ class Digest:
         return self._h.hexdigest()
 
 
-def nbbm_battery(d: Digest) -> None:
-    from nbbmlab import nbbm
-    for n in NBBM_SIZES:
-        for k, init in enumerate(INITS):
-            seed = 1000 * n + k
-            ps = nbbm.new_system(n, init, seed=seed)
-            for t in (0.25, 0.5, 1.0, 1.0, 2.0):
-                nbbm.advance_to(ps, t)
-                d.add(ps.positions, ps.time, ps.n_events)
-            if n < 2:
-                continue
-            ps = nbbm.new_system(n, init, seed=seed)
-            for _ in range(200):
-                ev = nbbm.step_event(ps)
-                d.add(ev.time, ev.victim_index, ev.target_index,
-                      ev.displacement)
-            d.add(ps.positions, ps.n_events)
+def nbbm_battery(sizes):
+    def battery(d: Digest) -> None:
+        from nbbmlab import nbbm
+        for n in sizes:
+            for k, init in enumerate(INITS):
+                seed = 1000 * n + k
+                ps = nbbm.new_system(n, init, seed=seed)
+                for t in (0.25, 0.5, 1.0, 1.0, 2.0):
+                    nbbm.advance_to(ps, t)
+                    d.add(ps.positions, ps.time, ps.n_events)
+                if n < 2:
+                    continue
+                ps = nbbm.new_system(n, init, seed=seed)
+                for _ in range(200):
+                    ev = nbbm.step_event(ps)
+                    d.add(ev.time, ev.victim_index, ev.target_index,
+                          ev.displacement)
+                d.add(ps.positions, ps.n_events)
+    return battery
 
 
 def coupling_battery(d: Digest) -> None:
@@ -120,7 +125,8 @@ def velocity_battery(d: Digest) -> None:
 
 
 BATTERIES = {
-    "nbbm": nbbm_battery,
+    "nbbm": nbbm_battery(NBBM_SIZES),
+    "nbbm_lazy": nbbm_battery(LAZY_SIZES),
     "coupling": coupling_battery,
     "supermartingale": supermartingale_battery,
     "contraction": contraction_battery,
