@@ -1,7 +1,8 @@
 """Replica-parallel map over a worker pool, order-preserving.
 
-NBBM_THREADS caps the pool; results are identical to the serial run
-because every task carries its own seed and ordering is preserved.
+NBBM_THREADS, a positive integer, caps the pool; results are identical
+to the serial run because every task carries its own seed and ordering is
+preserved.
 """
 
 import os
@@ -10,7 +11,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 def worker_count(n_tasks: int) -> int:
     env = os.environ.get("NBBM_THREADS")
-    workers = int(env) if env else min(4, os.cpu_count() or 1)
+    try:
+        workers = int(env) if env else min(4, os.cpu_count() or 1)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NBBM_THREADS={env!r} is not a positive integer")
     return max(1, min(workers, n_tasks))
 
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coupling, fbpde, killedbm, stationary, waves
+from ._parallel import worker_count
 from .measures import from_positions, tailcdf_from_csv, wasserstein_w1
 from .nbbm import log_trajectory, new_system, parse_init, save_checkpoint
 
@@ -133,7 +134,8 @@ def _cmd_stationary(cfg, out):
         burn_in=cfg["burn_in"], horizon=cfg["horizon"],
         delta_sample=float(cfg["delta_sample"]), centring=cfg["centring"],
         seed=derive_seed(cfg["seed"], "stationary", n), init=cfg["init"])
-    ens.mean_profile.to_csv(out.file("mean_profile.csv"))
+    prof = ens.mean_profile
+    out.write_csv("mean_profile.csv", "x,U", zip(prof.grid, prof.values))
     gaps = stationary.snapshot_gaps(ens)
     out.write_csv("gaps.csv", "index,gap",
                   [(i, float(g)) for i, g in enumerate(gaps)])
@@ -189,6 +191,9 @@ def _pde_inputs(cfg):
         raise ValueError(f"--t and --save must be >= the warm start {start:g}")
     if max(saves) > t_end:
         raise ValueError("--save times must be <= --t")
+    times = set(saves) | {t_end}   # one profile file each, named by :g
+    if len({f"{t:g}" for t in times}) < len(times):
+        raise ValueError("two --save times give the same profile file name")
     return params, init, t_end, saves
 
 
@@ -197,11 +202,13 @@ def _cmd_pde(cfg, out):
     if params.scheme == "split_cut":
         traj = fbpde.solve_density(init, t_end, params, save_times=saves)
         for prof in traj.profiles:
-            prof.to_csv(out.file(f"profile_t{prof.t:g}.csv"))
+            out.write_csv(f"profile_t{prof.t:g}.csv", "x,u",
+                          zip(prof.grid, prof.u))
     else:
         traj = fbpde.solve_cdf(init, t_end, params, save_times=saves)
         for tl, tt in zip(traj.tails, traj.tail_times):
-            tl.to_csv(out.file(f"profile_t{tt:g}.csv"))
+            out.write_csv(f"profile_t{tt:g}.csv", "x,U",
+                          zip(tl.grid, tl.values))
     final_l = float(traj.boundary[-1])
     times, bnd = traj.times, traj.boundary
     if times.size > 1:   # from t = 0 to t_end; a run of no steps has no path
@@ -372,7 +379,7 @@ def _cmd_verify(cfg, out):
     if not all(ok for _, ok in results):
         raise ArithmeticError("verification failures: " + ", ".join(
             name for name, ok in results if not ok))
-    return {"suite": cfg["suite"], "checks": len(results), "failures": 0}
+    return {"checks": len(results), "failures": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +436,7 @@ _FLAGS = {sub: dict(flags, seed=Flag("int", 0), out=Flag("str", f"out/{sub}"))
                   "horizon": Flag("float", None, 0)},
     "conjecture": {"lam": Flag("float", 2.0, above=0),
                    "t": Flag("float", 10.0, above=0)},
-    "verify": {"suite": Flag(("quick", "full"), "quick")},
+    "verify": {},
 }.items()}
 
 _HANDLERS = {
@@ -507,6 +514,10 @@ def _validate(sub: str, cfg: dict) -> None:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     _check_scales(sub, cfg)
+    try:
+        worker_count(1)   # the replica pool's NBBM_THREADS
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     build = {"pde": _pde_inputs, "killedbm": _kbm_boundary}.get(sub)
     if build:   # the run's input files are read and its inputs built now
         try:

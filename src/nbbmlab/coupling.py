@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import from_positions, wasserstein_w
-from .nbbm import ParticleSystem, advance_to, new_system
+from .nbbm import ParticleSystem, new_system
 
 
 def monge_match(x, y) -> np.ndarray:
     """Rank matching of two equal-length clouds: i -> perm[i] pairs by order.
 
     Optimal for cost |x - y|; for the capped cost it can overpay on clouds
-    separated beyond the cap (wasserstein_w computes that optimum exactly).
+    separated beyond the cap.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -33,20 +33,12 @@ def monge_match(x, y) -> np.ndarray:
     return perm
 
 
-def matching_cost(x, y, perm) -> float:
-    """Mean capped displacement of an explicit matching."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.minimum(np.abs(x - y[perm]), 1.0).mean())
-
-
 @dataclass
 class CoupledPair:
     ps_a: ParticleSystem
     ps_b: ParticleSystem
     matching: np.ndarray
     rng: np.random.Generator
-    shared_seed: object = None
 
     @property
     def n(self) -> int:
@@ -71,7 +63,7 @@ def new_coupled(n: int, init_a, init_b, seed=None) -> CoupledPair:
     ps_b.rng = rng
     return CoupledPair(ps_a=ps_a, ps_b=ps_b,
                        matching=monge_match(ps_a.positions, ps_b.positions),
-                       rng=rng, shared_seed=seed)
+                       rng=rng)
 
 
 def _diffuse(cp: CoupledPair, dt: float) -> None:
@@ -158,7 +150,6 @@ class ContractionReport:
     margin: float         # rhs - lhs
     lhs_se: float
     rhs_se: float
-    n_replicas: int
 
     @property
     def ok(self) -> bool:
@@ -168,8 +159,7 @@ class ContractionReport:
 def contraction_estimate(n: int, init_a, init_b, ts, n_replicas: int,
                          seed=None):
     """Replica estimate of E[W_t] against e^t E[W_0] at each requested t."""
-    scalar = np.isscalar(ts)
-    t_list = [float(ts)] if scalar else sorted(float(t) for t in ts)
+    t_list = sorted(float(t) for t in ts)
     if any(t < 0 for t in t_list):
         raise ValueError("times must be nonnegative")
     ss = np.random.SeedSequence(seed)
@@ -188,9 +178,8 @@ def contraction_estimate(n: int, init_a, init_b, ts, n_replicas: int,
         reports.append(ContractionReport(
             t=t, lhs=lhs, rhs=rhs, margin=rhs - lhs,
             lhs_se=float(wt[k].std(ddof=1) / math.sqrt(n_replicas)),
-            rhs_se=growth * float(w0.std(ddof=1) / math.sqrt(n_replicas)),
-            n_replicas=n_replicas))
-    return reports[0] if scalar else reports
+            rhs_se=growth * float(w0.std(ddof=1) / math.sqrt(n_replicas))))
+    return reports
 
 
 def supermartingale_increments(n: int, init_a, init_b, t_end: float,
@@ -206,21 +195,3 @@ def supermartingale_increments(n: int, init_a, init_b, t_end: float,
     w = np.asarray(w)
     return w[2::2] - w[0:-1:2] - w[1::2] / n
 
-
-def marginal_leftmost_displacement(n: int, init, t: float, n_replicas: int,
-                                   seed=None, coupled: bool = True) -> np.ndarray:
-    """L_t - L_0 samples from coupled runs (system a) or plain runs."""
-    ss = np.random.SeedSequence(seed)
-    out = np.empty(n_replicas)
-    for r, child in enumerate(ss.spawn(n_replicas)):
-        if coupled:
-            cp = new_coupled(n, init, init, seed=child)
-            l0 = cp.ps_a.leftmost
-            advance_coupled(cp, t)
-            out[r] = cp.ps_a.leftmost - l0
-        else:
-            ps = new_system(n, init, seed=child)
-            l0 = ps.leftmost
-            advance_to(ps, t)
-            out[r] = ps.leftmost - l0
-    return out

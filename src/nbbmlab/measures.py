@@ -5,9 +5,10 @@ throughout: the plain distance |x - y| (W1) and the capped distance
 min(|x - y|, 1) (W).  Both are evaluated on the rank (quantile) coupling,
 which is the optimal transport for |x - y|; with the cap it is a genuine
 metric that dominates the capped Kantorovich optimum and agrees with it
-whenever the coupling moves nothing as far as the cap.  The true capped
-optimum (wasserstein_w_exact) is kept for diagnostics: it can be strictly
-smaller, e.g. between a measure and its own translate.
+whenever the coupling moves nothing as far as the cap.  The capped optimum
+itself can be strictly smaller: for atoms {0, 0.4} and {0.7, 1.3} the rank
+coupling costs 0.8 and the optimum, which writes one pair off at the cap,
+0.65.
 """
 
 from dataclasses import dataclass
@@ -32,24 +33,6 @@ class EmpiricalMeasure:
         """mu((x, infty)): fraction of atoms strictly greater than x."""
         x = np.asarray(x, dtype=float)
         return (self.n - np.searchsorted(self.atoms, x, side="right")) / self.n
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "atoms": [float(a) for a in self.atoms]}
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            for a in self.atoms:
-                fh.write(f"{float(a)!r}\n")
-
-
-def measure_from_json(obj: dict) -> "EmpiricalMeasure":
-    return from_positions(obj["atoms"])
-
-
-def measure_from_csv(path) -> "EmpiricalMeasure":
-    with open(path) as fh:
-        vals = [float(line) for line in fh if line.strip()]
-    return from_positions(vals)
 
 
 def from_positions(positions) -> EmpiricalMeasure:
@@ -128,18 +111,6 @@ def wasserstein_w(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     return float(np.dot(w, np.minimum(d, 1.0)))
 
 
-def wasserstein_w_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
-    """Exact Kantorovich optimum for min(|x - y|, 1) (equal counts only).
-
-    Alignment DP over monotone partial matchings: pairs either match
-    monotonically at cost |x - y| or are written off at the cap.  Can be
-    strictly below wasserstein_w when uncrossing a saturated pair pays.
-    """
-    if mu1.n != mu2.n:
-        raise ValueError("exact capped cost needs equal atom counts")
-    return _capped_cost_dp(mu1.atoms, mu2.atoms)
-
-
 def _refined_quantile_displacements(mu1, mu2):
     """Weights and |x - y| of the quantile coupling on the refined weight grid."""
     n1, n2 = mu1.n, mu2.n
@@ -150,38 +121,6 @@ def _refined_quantile_displacements(mu1, mu2):
     x = mu1.atoms[np.minimum((mids * n1).astype(int), n1 - 1)]
     y = mu2.atoms[np.minimum((mids * n2).astype(int), n2 - 1)]
     return widths, np.abs(x - y)
-
-
-def _capped_cost_dp(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact mean of min(|x-y|,1) over the best bijection (anti-diagonal DP).
-
-    dp[i][j] = best total of min(|x-y| - 1, 0) over monotone partial
-    matchings of the first i and j atoms; unmatched atoms pair off at the
-    cap, so the answer is (n + dp[n][n]) / n.
-    """
-    n = x.size
-    big = np.inf
-    prev2 = np.full(n + 1, big)
-    prev1 = np.full(n + 1, big)
-    prev2[0] = 0.0
-    prev1[0] = 0.0
-    prev1[1] = 0.0
-    if n == 1:
-        return float(min(abs(x[0] - y[0]), 1.0))
-    for d in range(2, 2 * n + 1):
-        cur = np.full(n + 1, big)
-        if d <= n:
-            cur[0] = 0.0
-            cur[d] = 0.0
-        i0, i1 = max(1, d - n), min(n, d - 1)
-        ii = np.arange(i0, i1 + 1)
-        c = np.minimum(np.abs(x[ii - 1] - y[d - ii - 1]) - 1.0, 0.0)
-        cur[i0:i1 + 1] = np.minimum(
-            np.minimum(prev1[i0 - 1:i1], prev1[i0:i1 + 1]),
-            prev2[i0 - 1:i1] + c,
-        )
-        prev2, prev1 = prev1, cur
-    return float((n + prev1[n]) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +188,6 @@ class TailCdf:
 
     def quantile(self, y):
         return quantile(self, y)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,U\n")
-            for g, v in zip(self.grid, self.values):
-                fh.write(f"{float(g)!r},{float(v)!r}\n")
 
 
 def tailcdf_from_csv(path) -> TailCdf:
@@ -332,9 +265,3 @@ def w1_to_analytic(mu, f):
             total[r] += np.add.reduce(piece[b[r]:b[r + 1]])
     return float(total[0]) if single else total
 
-
-def w1_between_tails(u1, u2, grid) -> float:
-    """W1 between two tail functions as int |U1 - U2| over a common grid."""
-    grid = np.asarray(grid, dtype=float)
-    d = np.abs(np.asarray(u1.value(grid)) - np.asarray(u2.value(grid)))
-    return float(np.trapezoid(d, grid))

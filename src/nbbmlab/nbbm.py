@@ -82,6 +82,8 @@ def parse_init(spec):
         spec = (kind, arg)
     if isinstance(spec, tuple) and spec[0] == "delta":
         a = float(spec[1])
+        if not math.isfinite(a):
+            raise ValueError(f"non-finite position in init {spec!r}")
         return lambda rng, n: np.full(n, a)
     return spec if callable(spec) else lambda rng, n: spec
 

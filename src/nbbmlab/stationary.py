@@ -45,10 +45,10 @@ def sample_span(n: int, burn_in: float = None, horizon: float = None,
     return burn_in, horizon, count
 
 
-def batch_means_se(x, n_batches: int = 20) -> float:
-    """Standard error of a correlated series via batch means."""
+def batch_means_se(x) -> float:
+    """Standard error of a correlated series via (up to 20) batch means."""
     x = np.asarray(x, dtype=float)
-    b = min(n_batches, max(2, x.size // 4))
+    b = min(20, max(2, x.size // 4))
     usable = (x.size // b) * b
     means = x[:usable].reshape(b, -1).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(b))
@@ -63,13 +63,11 @@ class StationaryEnsemble:
     burn_in: float
     horizon: float
     delta_sample: float
-    seed: object = None
 
 
 def estimate_stationary(n: int, burn_in: float = None, horizon: float = None,
                         delta_sample: float = 1.0, centring: str = "leftmost",
-                        seed=None, init="zeros",
-                        grid_dx: float = 0.02) -> StationaryEnsemble:
+                        seed=None, init="zeros") -> StationaryEnsemble:
     """One long trajectory, recentred snapshots after burn-in, mean tail."""
     if centring not in ("leftmost", "median"):
         raise ValueError(f"unknown centring mode {centring!r}")
@@ -82,7 +80,8 @@ def estimate_stationary(n: int, burn_in: float = None, horizon: float = None,
         snaps.append(snapshot(ps, centring))
     lo = min(float(s.atoms[0]) for s in snaps)
     hi = max(float(s.atoms[-1]) for s in snaps)
-    grid = np.arange(lo - grid_dx, hi + 2 * grid_dx, grid_dx)
+    dx = 0.02   # spacing of the mean profile's grid
+    grid = np.arange(lo - dx, hi + 2 * dx, dx)
     vals = np.zeros_like(grid)
     for s in snaps:
         vals += s.tail(grid)
@@ -92,22 +91,19 @@ def estimate_stationary(n: int, burn_in: float = None, horizon: float = None,
     profile = TailCdf(grid, vals)
     return StationaryEnsemble(snapshots=snaps, centring=centring,
                               mean_profile=profile, n=n, burn_in=burn_in,
-                              horizon=horizon, delta_sample=delta_sample,
-                              seed=seed)
+                              horizon=horizon, delta_sample=delta_sample)
 
 
 @dataclass
 class VelocityEstimate:
     v_hat: float
     std_error: float
-    n_replicas: int
-    horizon: float
-    per_replica: np.ndarray = field(default=None, repr=False)
+    per_replica: np.ndarray = field(repr=False)
 
 
 def _velocity_replica(args):
-    n, burn_in, horizon, init, seed = args
-    ps = new_system(n, init, seed=seed)
+    n, burn_in, horizon, seed = args
+    ps = new_system(n, "pimin", seed=seed)
     advance_to(ps, burn_in)
     l0 = ps.leftmost
     advance_to(ps, horizon)
@@ -115,11 +111,11 @@ def _velocity_replica(args):
 
 
 def estimate_velocity(n: int, horizon: float, n_replicas: int, seed=None,
-                      burn_in: float = 20.0, init="pimin") -> VelocityEstimate:
+                      burn_in: float = 20.0) -> VelocityEstimate:
     """Displacement quotient of the leftmost particle over replicas.
 
-    Starts from iid minimal-wave positions by default so a short burn-in
-    suffices; the almost-sure limit does not depend on the start.
+    Starts from iid minimal-wave positions so a short burn-in suffices; the
+    almost-sure limit does not depend on the start.
     """
     if n < 2:
         raise ValueError("velocity needs at least two particles")
@@ -127,23 +123,18 @@ def estimate_velocity(n: int, horizon: float, n_replicas: int, seed=None,
     seeds = np.random.SeedSequence(seed).spawn(n_replicas)
     slopes = np.asarray(map_ordered(
         _velocity_replica,
-        [(n, burn_in, horizon, init, s) for s in seeds]))
+        [(n, burn_in, horizon, s) for s in seeds]))
     se = slopes.std(ddof=1) / math.sqrt(n_replicas) if n_replicas > 1 else 0.0
     return VelocityEstimate(v_hat=float(slopes.mean()), std_error=float(se),
-                            n_replicas=n_replicas, horizon=horizon,
                             per_replica=slopes)
 
 
 @dataclass
 class BirkhoffReport:
-    time_avg_b: float
     v_hat: float
     discrepancy: float
     se_b: float
     se_v: float
-    n: int
-    horizon: float
-    v_hat_barycentre: float = 0.0
 
     @property
     def combined_se(self) -> float:
@@ -154,43 +145,39 @@ class BirkhoffReport:
         return self.discrepancy <= 3.0 * self.combined_se or self.combined_se == 0.0
 
 
-def birkhoff_identity_check(n: int, horizon: float, seed=None,
-                            burn_in: float = None, init="pimin") -> BirkhoffReport:
+def birkhoff_identity_check(n: int, horizon: float,
+                            seed=None) -> BirkhoffReport:
     """Time average of the recentred mean against the velocity estimate.
 
     Both are ergodic averages of the same stationary quantity, so they
-    must agree within sampling error.  N = 1 is degenerate: no selection,
-    zero mean gap and zero almost-sure velocity.
+    must agree within sampling error.  The run starts from iid
+    minimal-wave positions and burns in for min(default_burn_in(n),
+    horizon / 4).  N = 1 is degenerate: no selection, zero mean gap and
+    zero almost-sure velocity.
     """
     if n == 1:
-        return BirkhoffReport(0.0, 0.0, 0.0, 0.0, 0.0, n=1, horizon=horizon)
-    burn_in = min(default_burn_in(n), horizon / 4.0) if burn_in is None else burn_in
+        return BirkhoffReport(0.0, 0.0, 0.0, 0.0)
+    burn_in = min(default_burn_in(n), horizon / 4.0)
     check_span(burn_in, horizon)
-    ps = new_system(n, init, seed=seed)
+    ps = new_system(n, "pimin", seed=seed)
     advance_to(ps, burn_in)
     b_samples = []
     dl_samples = []
-    dm_samples = []
     t = burn_in
     while t < horizon - 1e-9:
-        l_prev, m_prev = ps.leftmost, ps.barycentre
+        l_prev = ps.leftmost
         t += 1.0
         advance_to(ps, t)
         b_samples.append(gap_mean(ps.positions - ps.leftmost))
         dl_samples.append(ps.leftmost - l_prev)
-        dm_samples.append(ps.barycentre - m_prev)
     b_arr = np.asarray(b_samples)
     dl_arr = np.asarray(dl_samples)
-    dm_arr = np.asarray(dm_samples)
     v_hat = float(dl_arr.mean())
     return BirkhoffReport(
-        time_avg_b=float(b_arr.mean()),
         v_hat=v_hat,
         discrepancy=abs(float(b_arr.mean()) - v_hat),
         se_b=batch_means_se(b_arr),
         se_v=batch_means_se(dl_arr),
-        n=n, horizon=horizon,
-        v_hat_barycentre=float(dm_arr.mean()),
     )
 
 

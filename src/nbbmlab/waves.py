@@ -43,8 +43,8 @@ class TravellingWave:
     support_left: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.speed < SQRT2 - SPEED_TOL:
-            raise ValueError("subcritical speed")
+        if not SQRT2 - SPEED_TOL <= self.speed < math.inf:   # NaN fails too
+            raise ValueError("subcritical or non-finite speed")
         c = max(self.speed, SQRT2)
         g = math.sqrt(max(c * c - 2.0, 0.0))
         if g < _DEGENERATE_GAP:
@@ -147,8 +147,6 @@ class ShiftedTail:
 
     def tail(self, x):
         return self.wave.tail(np.asarray(x, dtype=float) - self.shift)
-
-    value = tail
 
     def tail_integral(self, x):
         return self.wave.tail_integral(np.asarray(x, dtype=float) - self.shift)

@@ -1,14 +1,20 @@
 """Command-line front end: exit codes, config precedence, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nbbmlab
 from nbbmlab import cli
@@ -148,15 +154,17 @@ def test_pde_and_file_init_roundtrip(tmp_path, capsys):
     assert code == 0
     assert (out1 / "boundary.csv").exists()
     prof = out1 / "profile_t0.2.csv"
-    assert prof.exists()
-    # feed a dumped tail back through the file: init
+    assert prof.read_text().startswith("x,u\n")
+    # feed a penalised run's tail profile back through the file: init
+    pen = tmp_path / "pen"
+    code, _ = run_cli(["pde", "--init", "pimin", "--scheme", "penalised",
+                       "--t", "0.2", "--dx", "0.02", "--dt", "0.002",
+                       "--window", "25", "--out", str(pen)], capsys)
+    assert code == 0
+    tail = pen / "profile_t0.2.csv"
+    assert tail.read_text().startswith("x,U\n")
     out2 = tmp_path / "p2"
-    ens_tail = tmp_path / "tail.csv"
-    import numpy as np
-    from nbbmlab import fbpde, waves
-    grid = np.arange(-2.0, 23.0, 0.02)
-    fbpde.wave_tail_on_grid(waves.MINIMAL_WAVE, grid).to_csv(ens_tail)
-    code, summary = run_cli(["pde", "--init", f"file:{ens_tail}",
+    code, summary = run_cli(["pde", "--init", f"file:{tail}",
                              "--t", "0.1", "--dx", "0.02", "--dt", "0.002",
                              "--window", "25", "--out", str(out2)], capsys)
     assert code == 0
@@ -293,15 +301,31 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["pde", "--init", "file:{step_tail}", "--save", "0.001"],
     ["pde", "--init", "pimin", "--t", "0.5", "--save", "2"],
     ["couple", "--mode", "literal"],
+    # both profile times would be written to profile_t1.csv
+    ["pde", "--init", "pimin", "--t", "1.0000002",
+     "--save", "1.0000001,1.0000002", "--dx", "0.05", "--dt", "0.005"],
+    ["pde", "--init", "pimin", "--t", "1.0000002", "--save", "1.0000001",
+     "--dx", "0.05", "--dt", "0.005"],
+    # leading NAME=value words set the environment, as in a shell
+    ["NBBM_THREADS=abc", "velocity", "--n", "2", "--replicas", "2",
+     "--horizon", "30", "--burn-in", "5"],
+    ["NBBM_THREADS=0", "simulate", "--t", "0.1"],
+    ["verify", "--suite", "quick"],
+    ["pde", "--init", "exp:nan"],
+    ["pde", "--init", "pic:inf"],
+    ["simulate", "--init", "delta:inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_input_exits_two_before_work(tmp_path, argv):
     # a step tail read from a file is a point mass, which warm-starts
     step_tail = tmp_path / "step.csv"
     step_tail.write_text("x,U\n0.0,1.0\n0.1,0.0\n0.2,0.0\n")
     argv = [a.format(step_tail=step_tail) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(nbbmlab.__file__).parents[1]))
+    while "=" in argv[0]:
+        key, _, value = argv.pop(0).partition("=")
+        env[key] = value
     # a subprocess with a timeout: a regression may hang instead of failing
     out = tmp_path / "o"
-    env = dict(os.environ, PYTHONPATH=str(Path(nbbmlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "nbbmlab.cli", *argv,
                            "--out", str(out)], env=env, capture_output=True,
                           text=True, timeout=60)
@@ -328,3 +352,56 @@ def test_derive_seed_stable():
     assert a != cli.derive_seed(8, "velocity", 64)
     assert a != cli.derive_seed(7, "velocity", 65)
     assert 0 <= a < 2 ** 64
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the flag table
+# ---------------------------------------------------------------------------
+
+UNKNOWN_INITS = ["gaussian", "pic:1.0", "pic:x", "delta:", "delta:nan",
+                 "file:x.csv", "zeros:1"]
+
+
+def _rejected(flag):
+    """A strategy of values that the flag's kind and bounds must reject."""
+    if flag.kind == "init":
+        return st.sampled_from(UNKNOWN_INITS)
+    if isinstance(flag.kind, tuple):
+        return st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                       max_size=8).filter(lambda v: v not in flag.kind)
+    integer = flag.kind in ("int", "ints")
+    bad = ["abc", "nan", "inf", "-inf", "1e400"] + (["1.5"] if integer else [])
+    values = st.sampled_from(bad)
+    if flag.low is not None or flag.above is not None:
+        if integer:   # every bounded int flag has a lower bound
+            below = st.integers(max_value=math.ceil(flag.low) - 1)
+        elif flag.low is not None:
+            below = st.floats(max_value=flag.low).filter(lambda v: v < flag.low)
+        else:
+            below = st.floats(max_value=flag.above)
+        values |= below.map(repr)
+    return values
+
+
+FUZZED = sorted((sub, key) for sub, flags in cli._FLAGS.items()
+                for key, flag in flags.items() if flag.kind != "str")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), target=st.sampled_from(FUZZED))
+def test_flag_table_rejects_what_it_bounds(data, target):
+    sub, key = target
+    flag = cli._FLAGS[sub][key]
+    value = data.draw(_rejected(flag), label="value")
+    arg = [value] if flag.positional \
+        else [f"--{key.replace('_', '-')}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.run([sub, *arg, "--out", str(out)])
+        assert code == 2, stdout.getvalue()
+        assert json.loads(stdout.getvalue().splitlines()[-1])["exit"] == 2
+        assert "Traceback" not in stderr.getvalue()
+        assert not out.exists()

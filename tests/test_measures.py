@@ -7,7 +7,6 @@ tail integrals.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -171,24 +170,12 @@ def test_w_rank_metric_versus_exact_optimum():
         a, b = ms.from_positions(x), ms.from_positions(y)
         brute = brute_force_cost(x, y, cap=1.0)
         assert abs(ms.wasserstein_w(a, b) - brute) < 1e-12
-        assert abs(ms.wasserstein_w_exact(a, b) - brute) < 1e-12
     # separated clouds: uncrossing a saturated pair beats the rank coupling
     a = ms.from_positions([0.0, 0.4])
     b = ms.from_positions([0.7, 1.3])
     assert ms.wasserstein_w(a, b) == pytest.approx(0.8)
-    assert ms.wasserstein_w_exact(a, b) == pytest.approx(0.65)
-    assert ms.wasserstein_w_exact(a, b) == pytest.approx(
-        brute_force_cost([0.0, 0.4], [0.7, 1.3], cap=1.0))
-
-
-def test_w_exact_matches_brute_force_generally():
-    rng = np.random.default_rng(5)
-    for _ in range(150):
-        n = int(rng.integers(2, 7))
-        x = rng.uniform(0, 4, n)
-        y = rng.uniform(0, 4, n) + rng.uniform(-1.5, 1.5)
-        got = ms.wasserstein_w_exact(ms.from_positions(x), ms.from_positions(y))
-        assert abs(got - brute_force_cost(x, y, cap=1.0)) < 1e-12
+    assert brute_force_cost([0.0, 0.4], [0.7, 1.3], cap=1.0) == \
+        pytest.approx(0.65)
 
 
 def test_w_capped_below_w1_and_one():
@@ -430,23 +417,12 @@ def test_w1_stack_matches_single_calls(target, n, rows, seed, lattice, shift):
 # serialisation
 # ---------------------------------------------------------------------------
 
-def test_measure_serialisation_roundtrip(tmp_path):
-    mu = ms.from_positions([0.1, -2.5, 3.75])
-    obj = mu.to_json()
-    assert obj["n"] == 3
-    back = ms.measure_from_json(json.loads(json.dumps(obj)))
-    np.testing.assert_array_equal(back.atoms, mu.atoms)
-    p = tmp_path / "m.csv"
-    mu.to_csv(p)
-    np.testing.assert_array_equal(ms.measure_from_csv(p).atoms, mu.atoms)
-
-
 def test_tailcdf_csv_roundtrip(tmp_path):
+    # the layout of the profile_t*.csv files that `pde` writes
     u = ms.TailCdf([0.0, 1.0, 2.0], [1.0, 0.25, 0.0])
     p = tmp_path / "u.csv"
-    u.to_csv(p)
-    with open(p) as fh:
-        assert fh.readline().strip() == "x,U"
+    p.write_text("x,U\n" + "".join(f"{float(g)!r},{float(v)!r}\n"
+                                    for g, v in zip(u.grid, u.values)))
     back = ms.tailcdf_from_csv(p)
     np.testing.assert_array_equal(back.grid, u.grid)
     np.testing.assert_array_equal(back.values, u.values)

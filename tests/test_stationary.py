@@ -10,9 +10,14 @@ import numpy as np
 import pytest
 
 from nbbmlab import stationary, waves
-from nbbmlab.measures import EmpiricalMeasure, w1_between_tails, w1_to_analytic
+from nbbmlab.measures import EmpiricalMeasure, w1_to_analytic
 
 SQRT2 = math.sqrt(2.0)
+
+
+def w1_between_tails(u1, u2, grid):
+    """W1 between two tail functions: int |U1 - U2| over a common grid."""
+    return float(np.trapezoid(np.abs(u1.value(grid) - u2.value(grid)), grid))
 
 
 def test_default_burn_in():
@@ -87,13 +92,11 @@ def test_birkhoff_identity_small_n():
     assert rep.ok, (rep.discrepancy, rep.combined_se)
     rep16 = stationary.birkhoff_identity_check(16, horizon=800.0, seed=6)
     assert rep16.ok
-    # the barycentre increments estimate the same velocity
-    assert abs(rep16.v_hat_barycentre - rep16.v_hat) < 4 * rep16.combined_se
 
 
 def test_birkhoff_degenerate_single_particle():
     rep = stationary.birkhoff_identity_check(1, horizon=100.0, seed=9)
-    assert rep.time_avg_b == 0.0 and rep.v_hat == 0.0 and rep.discrepancy == 0.0
+    assert rep.v_hat == 0.0 and rep.discrepancy == 0.0 and rep.ok
 
 
 def test_selection_gap_requires_matching_centring():
