@@ -391,7 +391,9 @@ class Flag(NamedTuple):
 
     Kinds: int, float, ints and floats (comma-separated lists, kept as the
     given string), str, init (a spec of nbbm.parse_init), or a tuple of the
-    allowed choices.  Bounds apply to every entry of a list.
+    allowed choices.  Bounds apply to every entry of a list.  A list whose
+    default lists something must list something; an empty default means
+    an empty list has a meaning (``pde --save ""``: save at --t only).
     """
 
     kind: object
@@ -479,7 +481,10 @@ def _check_flag(flag: Flag, value) -> None:
         raise ValueError(f"{value!r} is not one of {', '.join(flag.kind)}")
     elif flag.kind == "str" and not isinstance(value, str):
         raise ValueError(f"{value!r} is not a string")
-    for v in _NUMBERS.get(flag.kind, lambda v: [])(value):
+    numbers = _NUMBERS.get(flag.kind, lambda v: [])(value)
+    if not numbers and flag.kind in ("ints", "floats") and flag.default:
+        raise ValueError("lists no value")
+    for v in numbers:
         if not math.isfinite(v):
             raise ValueError(f"{v!r} is not finite")
         if flag.low is not None and v < flag.low:

@@ -10,12 +10,12 @@ selection-jump process at rate N - 1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import from_positions, wasserstein_w
-from .nbbm import ParticleSystem, new_system
+from .nbbm import _CELLS, ParticleSystem, _Clock, _steps, new_system
 
 
 def monge_match(x, y) -> np.ndarray:
@@ -39,6 +39,8 @@ class CoupledPair:
     ps_b: ParticleSystem
     matching: np.ndarray
     rng: np.random.Generator
+    # the shared event clock's pending rings (nbbm._Clock)
+    clock: _Clock = field(default_factory=_Clock)
 
     @property
     def n(self) -> int:
@@ -66,18 +68,12 @@ def new_coupled(n: int, init_a, init_b, seed=None) -> CoupledPair:
                        rng=rng)
 
 
-def _diffuse(cp: CoupledPair, dt: float) -> None:
-    g = cp.rng.standard_normal(cp.n)
-    g *= math.sqrt(dt)
-    cp.ps_a.positions += g
-    cp.ps_b.positions[cp.matching] += g
-    cp.ps_a.time += dt
-    cp.ps_b.time += dt
-
-
-def _event(cp: CoupledPair) -> None:
+def _event(cp: CoupledPair, pick: int) -> None:
     """The coupled jump, leaving cp.matching the rank matching after it.
 
+    ``pick`` is uniform on 0..N-1: N - 1 is the synchronous self-jump (a
+    no-op for both systems, probability 1/N), any other value picks the
+    jump source among the N - 1 particles of system a other than i*.
     One stable argsort per cloud gives the leftmost particles i*, j* (lowest
     index on ties) and the rank matching perm.  Without the rank-0 pair every
     other atom stays paired by rank, so the jump source i takes its target
@@ -92,11 +88,10 @@ def _event(cp: CoupledPair) -> None:
     order_b = pos_b.argsort(kind="stable")
     perm = cp.matching = np.empty(n, dtype=int)
     perm[order_a] = order_b
-    if cp.rng.random() < 1.0 / n:
+    if pick == n - 1:
         return  # synchronous self-jump: both systems unchanged
     i_star, j_star = order_a[0], order_b[0]
-    k = int(cp.rng.integers(n - 1))
-    i = k + 1 if k >= i_star else k
+    i = pick + 1 if pick >= i_star else pick
     j = perm[i]
     x = pos_a[i_star] = pos_a[i]
     y = pos_b[j_star] = pos_b[j]
@@ -112,23 +107,30 @@ def _event(cp: CoupledPair) -> None:
 def _run(cp: CoupledPair, t_end: float, events=math.inf, probe=lambda: None):
     """The coupled event loop: up to ``events`` shared events before t_end.
 
-    When the next event would fall after t_end, diffuse the remaining time
-    and stop.  ``probe()`` runs just before and just after each
-    event (jump and rematch).
+    Draws like nbbm._run: the shared event clock (rate N; a pick of N - 1
+    is the self-jump) in blocks, and one Gaussian row per event for both
+    systems.  When the next event would fall after t_end, diffuse the
+    remaining time and stop.  ``probe()`` runs just before and just after
+    each event (jump and rematch).
     """
-    scale = 1.0 / cp.n
-    while events > 0:
-        dt = cp.rng.exponential(scale)
-        if cp.time + dt > t_end:
-            rem = t_end - cp.time
-            if rem > 0.0:
-                _diffuse(cp, rem)
-            return
-        _diffuse(cp, dt)
-        probe()
-        _event(cp)
-        probe()
-        events -= 1
+    n, rng, clock = cp.n, cp.rng, cp.clock
+    pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
+    room = max(_CELLS // n, 1)
+    while events > 0 and not clock.passes(t_end):
+        times, picks = clock.take(rng, cp.time, t_end, n, min(events, room))
+        for row, pick, t in zip(_steps(rng, cp.time, times, n), picks, times):
+            pos_a += row
+            pos_b[cp.matching] += row
+            cp.ps_a.time = cp.ps_b.time = t
+            probe()
+            _event(cp, pick)
+            probe()
+        events -= len(picks)
+    if events > 0:                        # diffuse to t_end
+        row = _steps(rng, cp.time, [t_end], n)[0]
+        pos_a += row
+        pos_b[cp.matching] += row
+        cp.ps_a.time = cp.ps_b.time = t_end
 
 
 def step_coupled(cp: CoupledPair) -> None:

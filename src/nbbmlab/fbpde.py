@@ -487,10 +487,9 @@ def _run(stepper: _Stepper, t_end: float, save_times):
     return snaps, np.asarray(snap_times), np.asarray(times), np.asarray(boundary)
 
 
-def solve_density(u0, t_end: float, params: FlowParams = None,
+def solve_density(u0, t_end: float, params: FlowParams,
                   save_times=()) -> Trajectory:
     """Run the split-cut scheme to t_end, saving profiles at save_times."""
-    params = params or FlowParams()
     init = make_initial(u0, params)
     if isinstance(init, tuple):
         init = _warm_start(init[1], params)
@@ -515,10 +514,9 @@ def _penalised_reaction(u: np.ndarray, n: int, dt: float) -> np.ndarray:
     return out
 
 
-def solve_cdf(u0, t_end: float, params: FlowParams = None,
+def solve_cdf(u0, t_end: float, params: FlowParams,
               save_times=()) -> CdfTrajectory:
     """Tail-form solve: split-cut route by default, or the penalised flow."""
-    params = params or FlowParams()
     if params.scheme == "split_cut":
         traj = solve_density(u0, t_end, params, save_times)
         tails = [p.tail() for p in traj.profiles]
@@ -607,9 +605,8 @@ class ComparisonReport:
 
 
 def check_stretching_preserved(u0: TailCdf, v0: TailCdf, t: float,
-                               params: FlowParams = None) -> ComparisonReport:
+                               params: FlowParams) -> ComparisonReport:
     """Evolve an ordered pair and verify the order still holds at time t."""
-    params = params or FlowParams()
     tol = params.tol_stretch
     if not stretch_ge(u0, v0, tol):
         raise ValueError("initial pair is not stretch-ordered")
@@ -620,9 +617,8 @@ def check_stretching_preserved(u0: TailCdf, v0: TailCdf, t: float,
 
 
 def check_boundary_comparison(u0: TailCdf, v0: TailCdf, t: float,
-                              params: FlowParams = None) -> ComparisonReport:
+                              params: FlowParams) -> ComparisonReport:
     """Boundary displacement of the more stretched solution dominates."""
-    params = params or FlowParams()
     tol = params.tol_stretch
     if not stretch_ge(u0, v0, tol):
         raise ValueError("initial pair is not stretch-ordered")
@@ -634,10 +630,8 @@ def check_boundary_comparison(u0: TailCdf, v0: TailCdf, t: float,
     return ComparisonReport(ok=du >= dv - tol, worst_margin=float(du - dv))
 
 
-def sensitivity_check(u0, v0, t: float, params: FlowParams = None,
-                      n_atoms: int = 512):
+def sensitivity_check(u0, v0, t: float, params: FlowParams, n_atoms: int):
     """W(u_t, v_t) <= e^t W(u_0, v_0), with 5% scheme slack on the right side."""
-    params = params or FlowParams()
 
     def atoms(spec):  # a point mass is n_atoms coincident atoms
         init = make_initial(spec, params)

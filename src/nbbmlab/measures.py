@@ -49,7 +49,6 @@ def from_positions(positions) -> EmpiricalMeasure:
 class CentringStats:
     leftmost: float          # L(mu) = inf{x : mu([x, inf)) < 1}
     median: float            # A(mu) = inf{x : mu([x, inf)) < 1/2}
-    mean: float              # M(mu)
 
 
 def centring_stats(mu: EmpiricalMeasure) -> CentringStats:
@@ -62,7 +61,6 @@ def centring_stats(mu: EmpiricalMeasure) -> CentringStats:
     return CentringStats(
         leftmost=float(a[0]),
         median=float(a[a.size // 2]),
-        mean=float(a.mean()),
     )
 
 

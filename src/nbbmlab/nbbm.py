@@ -15,9 +15,10 @@ above h and its value at any time is one draw; only the active particles
 near the leftmost take a Gaussian per event.
 """
 
+import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +41,8 @@ class ParticleSystem:
     n_events: int
     rng: np.random.Generator
     seed: object = None
+    # the event clock's pending rings, drawn ahead in blocks
+    clock: "_Clock" = field(default_factory=lambda: _Clock())
     # lazy-loop counters (see _LazyCall); not part of the checkpoint
     promotions: int = 0
     bridge_draws: int = 0
@@ -109,24 +112,67 @@ def new_system(n: int, init="zeros", seed=None) -> ParticleSystem:
                           n_events=0, rng=rng, seed=seed)
 
 
-def _jump(positions: np.ndarray, rng: np.random.Generator):
-    """Leftmost particle (lowest index on ties) jumps onto a uniform other one.
+def _jump(positions: np.ndarray, j: int):
+    """Leftmost particle (lowest index on ties) jumps onto the j-th other one.
 
     Returns (victim, target, displacement).
     """
     victim = int(positions.argmin())
-    j = int(rng.integers(positions.size - 1))
     target = j + 1 if j >= victim else j
     displacement = positions[target] - positions[victim]
     positions[victim] = positions[target]
     return victim, target, displacement
 
 
-def _diffuse(positions: np.ndarray, rng: np.random.Generator, dt: float):
-    """Independent Gaussian increments of variance dt, scaled in place."""
-    z = rng.standard_normal(positions.size)
-    z *= math.sqrt(dt)
-    positions += z
+# Numbers per block of Gaussian rows in the plain and coupled loops (512 KiB),
+# and rings an event clock draws at a time.
+_CELLS = 1 << 16
+_RINGS = 1024
+
+
+class _Clock:
+    """The event clock of a loop: a Poisson clock of integer rate R, the sum
+    of R unit clocks.
+
+    Its next rings are drawn ahead in blocks: their times (ascending) and
+    which unit clock rang (the jump pick, uniform on 0..R-1).  Pending rings
+    stay for the next call; dropping them is exact too, since the waits are
+    memoryless.
+    """
+
+    def __init__(self, times=(), picks=()):
+        self.times, self.picks, self.head = list(times), list(picks), 0
+
+    def take(self, rng: np.random.Generator, t: float, t_end: float,
+             rate: int, room: int):
+        """The pending rings up to t_end, at most ``room`` of them; when none
+        is pending, a block of rings after t is drawn first."""
+        h = self.head
+        if h == len(self.times):
+            waits = rng.standard_exponential(_RINGS)
+            waits *= 1.0 / rate
+            waits[0] += t
+            self.times = np.add.accumulate(waits).tolist()
+            self.picks = rng.integers(rate, size=_RINGS).tolist()
+            h = 0
+        k = self.head = min(bisect.bisect_right(self.times, t_end, h), h + room)
+        return self.times[h:k], self.picks[h:k]
+
+    def passes(self, t_end: float) -> bool:
+        """Whether the next ring is known to come after t_end."""
+        return self.head < len(self.times) and self.times[self.head] > t_end
+
+
+def _steps(rng: np.random.Generator, t: float, times: list,
+           n: int) -> np.ndarray:
+    """One row of n Gaussians per step of a loop from t to each of ``times``
+    in turn, scaled to the step's length."""
+    g = rng.standard_normal((len(times), n))
+    if len(times) == 1:
+        g *= math.sqrt(times[0] - t)
+    else:
+        g *= np.sqrt([b - a for a, b in zip([t] + times, times)])[:, None]
+    return g
 
 
 # Laziness pays once N Gaussians per event cost more than its bookkeeping
@@ -387,28 +433,31 @@ def _run(ps: ParticleSystem, t_end: float, events=math.inf):
     When the next event would fall after t_end, diffuse to t_end and return
     None; otherwise return the last jump of _jump.  A call at N >= LAZY_MIN_N
     expecting at least LAZY_MIN_EVENTS events runs lazily (_LazyCall), with
-    other draws; every other call draws the numbers below in this order.
+    its own draws.  Every other call takes its events from ps.clock, which
+    draws waits and jump picks in blocks and keeps the rings past t_end for
+    the next call, and one block of Gaussian rows per batch of events
+    (_steps); the loop itself only adds a row, takes the argmin and copies.
     """
-    if ps.n >= max(LAZY_MIN_N, 2) \
-            and min(events, (t_end - ps.time) * (ps.n - 1)) >= LAZY_MIN_EVENTS:
+    n, rng = ps.n, ps.rng
+    if n >= max(LAZY_MIN_N, 2) \
+            and min(events, (t_end - ps.time) * (n - 1)) >= LAZY_MIN_EVENTS:
+        ps.clock = _Clock()            # memoryless: the lazy call draws anew
         return _LazyCall(ps).run(ps, t_end, events)
-    positions, rng = ps.positions, ps.rng
-    rate = 1.0 / (ps.n - 1) if ps.n > 1 else None   # a lone particle never jumps
-    jump = None
-    while events > 0:
-        dt = rng.exponential(rate) if rate else math.inf
-        if ps.time + dt > t_end:
-            rem = t_end - ps.time
-            if rem > 0.0:
-                _diffuse(positions, rng, rem)
-            ps.time = t_end
-            return None
-        _diffuse(positions, rng, dt)
-        jump = _jump(positions, rng)
-        ps.time += dt
-        ps.n_events += 1
-        events -= 1
-    return jump
+    clock, positions, jump = ps.clock, ps.positions, None
+    room = max(_CELLS // n, 1)
+    while n > 1 and events > 0 and not clock.passes(t_end):  # n = 1: no jumps
+        times, picks = clock.take(rng, ps.time, t_end, n - 1, min(events, room))
+        for row, j, t in zip(_steps(rng, ps.time, times, n), picks, times):
+            positions += row
+            jump = _jump(positions, j)
+            ps.time = t
+        ps.n_events += len(picks)
+        events -= len(picks)
+    if events == 0:
+        return jump
+    positions += _steps(rng, ps.time, [t_end], n)[0]   # diffuse to t_end
+    ps.time = t_end
+    return None
 
 
 def step_event(ps: ParticleSystem) -> Event:
@@ -458,6 +507,8 @@ def checkpoint(ps: ParticleSystem) -> dict:
         "seed": ps.seed,
         "time": ps.time,
         "n_events": ps.n_events,
+        "ring_picks": ps.clock.picks[ps.clock.head:],
+        "ring_times": ps.clock.times[ps.clock.head:],
         "positions": [float(x) for x in ps.positions],
         "rng_state": ps.rng.bit_generator.state,
     }
@@ -478,6 +529,7 @@ def from_checkpoint(state) -> ParticleSystem:
         positions=np.asarray(state["positions"], dtype=float),
         time=float(state["time"]),
         n_events=int(state["n_events"]),
+        clock=_Clock(state.get("ring_times", ()), state.get("ring_picks", ())),
         rng=rng,
         seed=state.get("seed"),
     )

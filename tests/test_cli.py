@@ -190,6 +190,10 @@ def test_pde_boundary_feeds_killedbm(tmp_path, capsys):
     assert code == 0
     rows = (tmp_path / "p0" / "boundary.csv").read_text().splitlines()
     assert len(rows) == 2
+    # an empty --save is valid: it saves at --t only
+    code, _ = run_cli(["pde", "--init", "pimin", "--t", "0", "--save", "",
+                       "--out", str(tmp_path / "p1")], capsys)
+    assert code == 0
 
 
 def test_pde_penalised_scheme(tmp_path, capsys):
@@ -314,6 +318,10 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["pde", "--init", "exp:nan"],
     ["pde", "--init", "pic:inf"],
     ["simulate", "--init", "delta:inf"],
+    # a list flag that lists nothing
+    ["velocity", "--n", ""],
+    ["couple", "--n", "8", "--t", ""],
+    ["selection", "--n", ","],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_input_exits_two_before_work(tmp_path, argv):
     # a step tail read from a file is a point mass, which warm-starts

@@ -169,21 +169,90 @@ def _restricted_match(pos_a, pos_b, skip_a, skip_b):
     return out
 
 
-def reference_event(cp):
+def reference_event(cp, self_jump, pick):
     """The coupled jump by a fresh restricted matching, then a full rematch."""
     n = cp.n
     pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
     i_star = int(np.argmin(pos_a))
     j_star = int(np.argmin(pos_b))
-    if cp.rng.random() >= 1.0 / n:
-        k = int(cp.rng.integers(n - 1))
-        i = k + 1 if k >= i_star else k
+    if not self_jump:
+        i = pick + 1 if pick >= i_star else pick
         iota = _restricted_match(pos_a, pos_b, i_star, j_star)
         pos_a[i_star] = pos_a[i]
         pos_b[j_star] = pos_b[iota[i]]
         cp.ps_a.n_events += 1
         cp.ps_b.n_events += 1
     cp.matching = coupling.monge_match(pos_a, pos_b)
+
+
+def reference_diffuse(cp, dt):
+    g = cp.rng.standard_normal(cp.n)
+    g *= math.sqrt(dt)
+    cp.ps_a.positions += g
+    cp.ps_b.positions[cp.matching] += g
+    cp.ps_a.time += dt
+    cp.ps_b.time += dt
+
+
+def reference_run(cp, t_end, events=math.inf):
+    """The coupled loop with scalar draws: per event one exponential wait,
+    one shared Gaussian vector, a self-jump coin and, unless it is a
+    self-jump, a pick; the wait that overshoots t_end is discarded."""
+    n, rng = cp.n, cp.rng
+    while events > 0:
+        dt = rng.exponential(1.0 / n)
+        if cp.time + dt > t_end:
+            if t_end > cp.time:
+                reference_diffuse(cp, t_end - cp.time)
+            return
+        reference_diffuse(cp, dt)
+        self_jump = rng.random() < 1.0 / n
+        reference_event(cp, self_jump,
+                        None if self_jump else int(rng.integers(n - 1)))
+        events -= 1
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_coupled_loop_matches_reference(n, same_law):
+    # both marginals' leftmost displacement and the distance W at t = 1;
+    # both start from pimin, since against a start at zeros W is capped at
+    # 1 in every replica from N = 16 on
+    def sample(run, tag):
+        out = []
+        for r in range(300):
+            cp = coupling.new_coupled(n, "pimin", "pimin", seed=[tag, n, r])
+            l0 = cp.ps_a.leftmost, cp.ps_b.leftmost
+            run(cp, 1.0)
+            out.append((cp.ps_a.leftmost - l0[0], cp.ps_b.leftmost - l0[1],
+                        cp.distance()))
+        return np.asarray(out)
+
+    same_law(f"N={n} reference / advance_coupled:", sample(reference_run, 0),
+             sample(coupling.advance_coupled, 1),
+             ("L_a - L_a0", "L_b - L_b0", "W"))
+
+
+@pytest.mark.parametrize("k", [1, 9, 80])
+def test_step_coupled_matches_reference(k, same_law):
+    # k calls of one shared event each against the reference loop run for
+    # k events in one call: the time of the k-th event and both leftmosts
+    def sample(step, tag):
+        out = []
+        for r in range(300):
+            cp = coupling.new_coupled(8, waves.sample_pi_min, "zeros",
+                                      seed=[tag, k, r])
+            l0 = cp.ps_a.leftmost
+            step(cp)
+            out.append((cp.time, cp.ps_a.leftmost - l0, cp.ps_b.leftmost))
+        return np.asarray(out)
+
+    def stepped(cp):
+        for _ in range(k):
+            coupling.step_coupled(cp)
+
+    ref = sample(lambda cp: reference_run(cp, math.inf, events=k), 0)
+    same_law(f"k={k} reference / step_coupled:", ref, sample(stepped, 1),
+             ("T_k", "L_a - L_a0", "L_b"))
 
 
 def lattice_cloud(rng, n, lattice_share):
@@ -205,9 +274,10 @@ def test_event_matches_reference(n, seed, lattice_share, diffuse_every):
     for step in range(40):
         if step and step % diffuse_every == 0:   # break some ties, keep others
             for cp in pairs:
-                coupling._diffuse(cp, 0.01)
-        coupling._event(pairs[0])
-        reference_event(pairs[1])
+                reference_diffuse(cp, 0.01)
+        pick = int(rng.integers(n))   # n - 1 is the self-jump
+        coupling._event(pairs[0], pick)
+        reference_event(pairs[1], pick == n - 1, pick)
         new, ref = pairs
         assert new.ps_a.positions.tobytes() == ref.ps_a.positions.tobytes()
         assert new.ps_b.positions.tobytes() == ref.ps_b.positions.tobytes()

@@ -42,7 +42,8 @@ def test_jump_mechanics():
     seen = set()
     for _ in range(40):
         positions = np.array([0.0, 1.0, 2.0])
-        victim, target, displacement = nbbm._jump(positions, rng)
+        victim, target, displacement = nbbm._jump(positions,
+                                                  int(rng.integers(2)))
         assert victim == 0 and target in (1, 2)
         assert displacement == target
         seen.add(tuple(sorted(positions)))
@@ -51,9 +52,8 @@ def test_jump_mechanics():
 
 
 def test_jump_all_equal_is_noop_on_multiset():
-    rng = np.random.default_rng(3)
     positions = np.array([5.0, 5.0, 5.0, 5.0])
-    victim, target, displacement = nbbm._jump(positions, rng)
+    victim, target, displacement = nbbm._jump(positions, 0)
     assert victim == 0  # lowest index wins the tie
     assert target != victim
     assert displacement == 0.0
@@ -213,6 +213,22 @@ def _checkpoint_roundtrip(tmp_path):
     return ps
 
 
+def test_checkpoint_is_a_snapshot():
+    # the dict keeps the pending rings it was taken with while the system
+    # runs on, so restoring from it later is still exact
+    ps = nbbm.new_system(8, "pimin", seed=4)
+    nbbm.advance_to(ps, 0.5)
+    state = nbbm.checkpoint(ps)
+    frozen = json.dumps(state, sort_keys=True)
+    assert state["ring_times"]
+    nbbm.advance_to(ps, 2.0)
+    assert json.dumps(state, sort_keys=True) == frozen
+    restored = nbbm.from_checkpoint(state)
+    nbbm.advance_to(restored, 2.0)
+    assert restored.positions.tobytes() == ps.positions.tobytes()
+    assert restored.n_events == ps.n_events
+
+
 split_cases = given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
                     init=st.sampled_from(["zeros", "pimin", "delta:2"]),
                     split=st.floats(0.0, 1.0, exclude_max=True),
@@ -336,13 +352,14 @@ def test_lazy_step_event_takes_the_leftmost(n, seed, init, steps):
     assert ps.n_events == steps
 
 
-def _oracle_sample(n, calls, span, reps, seed):
+def _oracle_sample(n, calls, span, reps, seed, run=nbbm.advance_to):
     out = []
     for r in range(reps):
-        ps = nbbm.new_system(n, "pimin", seed=seed + r)
+        ps = nbbm.new_system(n, "pimin", seed=seed + r if isinstance(seed, int)
+                             else [*seed, r])
         l0 = ps.leftmost
         for k in range(1, calls + 1):
-            nbbm.advance_to(ps, k * span)
+            run(ps, k * span)
         gap = w1_to_analytic(nbbm.snapshot(ps, "leftmost"), waves.MINIMAL_WAVE)
         out.append((ps.leftmost - l0, ps.n_events, gap))
     return np.asarray(out), ps
@@ -351,18 +368,88 @@ def _oracle_sample(n, calls, span, reps, seed):
 @pytest.mark.parametrize("n, calls, span, reps", [(8, 2, 10.0, 400),
                                                   (64, 2, 2.0, 300),
                                                   (512, 3, 0.5, 200)])
-def test_lazy_loop_matches_plain_loop(n, calls, span, reps):
+def test_lazy_loop_matches_plain_loop(n, calls, span, reps, same_law):
     # every call spans > 64 events, so demotions run inside the calls
     plain, _ = _oracle_sample(n, calls, span, reps, 50_000 + 1000 * n)
     with forced_lazy():
         lazy, last = _oracle_sample(n, calls, span, reps, 60_000 + 1000 * n)
     assert last.promotions > 0 and last.bridge_draws > 0
-    lines = []
-    for k, name in enumerate(("L_t - L_0", "n_events", "gap")):
-        a, b = plain[:, k], lazy[:, k]
-        p = stats.ks_2samp(a, b).pvalue
-        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(reps)
-        lines.append(f"{name}: {a.mean():.4f} / {b.mean():.4f}, KS p {p:.3g}")
-        assert p > 1e-3, lines
-        assert abs(a.mean() - b.mean()) < 3.0 * se, lines
-    print(f"N={n} plain / lazy:", "; ".join(lines))
+    same_law(f"N={n} plain / lazy:", plain, lazy,
+             ("L_t - L_0", "n_events", "gap"))
+
+
+# ---------------------------------------------------------------------------
+# the plain loop against the scalar-draw loop it replaced (the oracle)
+# ---------------------------------------------------------------------------
+
+def reference_jump(positions, rng):
+    victim = int(positions.argmin())
+    j = int(rng.integers(positions.size - 1))
+    target = j + 1 if j >= victim else j
+    displacement = positions[target] - positions[victim]
+    positions[victim] = positions[target]
+    return victim, target, displacement
+
+
+def reference_diffuse(positions, rng, dt):
+    z = rng.standard_normal(positions.size)
+    z *= math.sqrt(dt)
+    positions += z
+
+
+def reference_run(ps, t_end, events=math.inf):
+    """One exponential wait, one Gaussian vector and one pick per event;
+    the wait that overshoots t_end is discarded."""
+    positions, rng = ps.positions, ps.rng
+    rate = 1.0 / (ps.n - 1) if ps.n > 1 else None
+    jump = None
+    while events > 0:
+        dt = rng.exponential(rate) if rate else math.inf
+        if ps.time + dt > t_end:
+            rem = t_end - ps.time
+            if rem > 0.0:
+                reference_diffuse(positions, rng, rem)
+            ps.time = t_end
+            return None
+        reference_diffuse(positions, rng, dt)
+        jump = reference_jump(positions, rng)
+        ps.time += dt
+        ps.n_events += 1
+        events -= 1
+    return jump
+
+
+@pytest.mark.parametrize("n, horizon, reps", [(2, 10.0, 300), (8, 3.0, 300),
+                                              (64, 1.0, 300), (512, 0.2, 200)])
+def test_plain_loop_matches_reference(n, horizon, reps, same_law):
+    # one call, and stops every 0.1 and every 0.01 time units: where a run
+    # stops must not change its law
+    ref, _ = _oracle_sample(n, 1, horizon, reps, (0, n), run=reference_run)
+    names = ("L_t - L_0", "n_events", "gap")
+    for variant, span in enumerate((horizon, 0.1, 0.01), start=1):
+        calls = round(horizon / span)
+        new, _ = _oracle_sample(n, calls, horizon / calls, reps, (variant, n))
+        same_law(f"N={n} reference / span {span}:", ref, new, names)
+
+
+@pytest.mark.parametrize("k", [1, 7, 60])
+def test_step_event_matches_reference(k, same_law):
+    # k calls of one event each against the reference loop run for k events
+    # in one call: the time of the k-th event and the leftmost after it
+    def sample(step, tag):
+        out = []
+        for r in range(300):
+            ps = nbbm.new_system(6, waves.sample_pi_min, seed=[tag, k, r])
+            l0 = ps.leftmost
+            step(ps)
+            assert ps.n_events == k
+            out.append((ps.time, ps.leftmost - l0))
+        return np.asarray(out)
+
+    def stepped(ps):
+        for _ in range(k):
+            nbbm.step_event(ps)
+
+    ref = sample(lambda ps: reference_run(ps, math.inf, events=k), 0)
+    same_law(f"k={k} reference / step_event:", ref, sample(stepped, 1),
+             ("T_k", "L - L_0"))

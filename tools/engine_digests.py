@@ -20,7 +20,12 @@ estimate.  The batteries:
 - ``contraction``: contraction_estimate;
 - ``gaps_leftmost`` and ``gaps_median``: snapshot_gaps of stationary
   ensembles at N = 16, 64 and 1000;
-- ``velocity``: estimate_velocity.
+- ``velocity``: estimate_velocity;
+- ``pde``: solve_density from heaviside to t = 15 with saves at 5, 10
+  and 15 on the default grid, from heaviside on criterion 9's fine grid
+  to t = 0.2, from exp:1.2 and from a point mass at 1; and solve_cdf's
+  penalised flow from exp:1.2.  It runs no particle code, so it must not
+  move when only the particle engines change.
 """
 
 import hashlib
@@ -124,6 +129,26 @@ def velocity_battery(d: Digest) -> None:
         d.add(est.v_hat, est.std_error, est.per_replica)
 
 
+def pde_battery(d: Digest) -> None:
+    from nbbmlab import fbpde
+    default = fbpde.FlowParams()
+    fine = fbpde.FlowParams(dx=0.0025, dt=6.25e-5, x_window=30.0)
+    runs = [("heaviside", 15.0, default, (5.0, 10.0, 15.0)),
+            ("heaviside", 0.2, fine, ()),
+            ("exp:1.2", 1.0, default, (0.5,)),
+            (("delta", 1.0), 1.0, default, (0.5,))]
+    for u0, t_end, params, saves in runs:
+        traj = fbpde.solve_density(u0, t_end, params, save_times=saves)
+        d.add(traj.times, traj.boundary)
+        for prof in traj.profiles:
+            d.add(prof.t, prof.boundary, prof.grid, prof.u)
+    pen = fbpde.solve_cdf("exp:1.2", 2.0, fbpde.FlowParams(scheme="penalised"),
+                          save_times=(1.0, 2.0))
+    d.add(pen.times, pen.boundary, pen.tail_times)
+    for tail in pen.tails:
+        d.add(tail.grid, tail.values)
+
+
 BATTERIES = {
     "nbbm": nbbm_battery(NBBM_SIZES),
     "nbbm_lazy": nbbm_battery(LAZY_SIZES),
@@ -133,6 +158,7 @@ BATTERIES = {
     "gaps_leftmost": gaps_battery("leftmost"),
     "gaps_median": gaps_battery("median"),
     "velocity": velocity_battery,
+    "pde": pde_battery,
 }
 
 
