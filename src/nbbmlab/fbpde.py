@@ -131,6 +131,8 @@ def make_initial(spec, params: FlowParams):
     stepper warm-starts itself.
     """
     if isinstance(spec, Profile):
+        if not np.all((spec.u >= 0.0) & (spec.u < math.inf)):  # NaN fails
+            raise ValueError("profile density must be finite and >= 0")
         return Profile(spec.grid.copy(), spec.u.copy(), spec.boundary, 0.0)
     if isinstance(spec, str):
         if spec in ("heaviside", "delta"):
@@ -237,15 +239,18 @@ class _CrankNicolson:
     node a - P on this is the full solve, bit for bit:
 
     - Left of a the right-hand side is 0, so the full forward sweep is
-      exactly 0 there and may start anywhere left of a.  Back substitution
-      carries the data leftwards with the factor rho = r / d_inf per node,
-      d_inf = (1 + 2r + sqrt(1 + 4r)) / 2, so left of a - P the full solve
-      is within one subnormal ulp of 0.  The cut zeroes those nodes, and
-      its tail sum, of order 1 there, does not see them.
+      exactly 0 there, and rows from a on come out the same bit for bit
+      wherever left of a the solve starts: back substitution runs right
+      to left.  It carries the data leftwards with the factor
+      rho = r / d_inf per node, d_inf = (1 + 2r + sqrt(1 + 4r)) / 2, so
+      left of a - P the full solve is within one subnormal ulp of 0.
+      These P rows, the left carry, are solved only on request: the
+      split-cut step solves from a, and again from a - P only when its cut
+      reaches left of a, since the cut reads no row left of its cell.
     - Right of z the forward sweep is bounded by rho^k max|rhs| / (1 - rho).
-      P, worked out each step from max|rhs|, is the number of nodes that
-      takes this bound below half the smallest subnormal; past z + P the
-      full solve is exactly 0.  For rho > 1/2 (r > 2) the rounded sweep
+      P, worked out from max|rhs| unless z is the last interior row, is
+      the number of nodes that takes this bound below half the smallest
+      subnormal; past z + P the full solve is exactly 0.  For rho > 1/2 (r > 2) the rounded sweep
       never reaches 0: rho times the smallest subnormal rounds back up to
       it, so the sweep sticks at a few subnormal ulps, which the division
       by d_inf > 1 + 1 / (1 - rho) rounds to 0.  The full solve thus pays
@@ -285,10 +290,12 @@ class _CrankNicolson:
             return self.n if m else 0
         return int((self._log_floor - math.log(m)) / self._log_rho) + 1
 
-    def step(self, v: np.ndarray, lo: int, hi: int):
+    def step(self, v: np.ndarray, lo: int, hi: int, carry: bool = True):
         """One step of v, which is 0 outside v[lo:hi].
 
-        Returns (x, lo, hi): the new field, 0 outside x[lo:hi].
+        Returns (x, lo, hi): the new field, 0 outside x[lo:hi].  Without
+        the left carry, x[lo:] is the full solve's and x[:lo] is left 0,
+        where the full solve need not be.
         """
         n = self.n
         # the stencil's reach, within the interior rows
@@ -302,11 +309,16 @@ class _CrankNicolson:
         mid += v[a + 1:z + 1]
         mid *= self.r
         mid += v[a:z]
-        reach = self._reach(max(mid.max(), -mid.min(), abs(self.left_value)))
-        lo = 0 if self.left_value else a - reach
+        lo = 0 if self.left_value else a
+        hi = n
+        if z < n - 1 or (carry and lo):   # P moves an end of the solve
+            reach = self._reach(max(mid.max(), -mid.min(),
+                                    abs(self.left_value)))
+            hi = min(z + reach, n)
+            if carry:
+                lo -= reach
         if lo < self._pivoted:
             lo = 0
-        hi = min(z + reach, n)
         dl, d, du, du2, ipiv = self._lu
         ipiv = ipiv[:hi] if lo == 0 else self._unpivoted[:hi - lo]
         _, info = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
@@ -317,35 +329,44 @@ class _CrankNicolson:
 
 
 def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
-                   hi: int = None):
+                   hi: int = None, open_left: bool = False):
     """Zero the density left of the point where mass to the right equals 1.
 
-    Returns the adjusted density and the sub-cell boundary.  The node just
-    left of the boundary keeps the partial-cell value that makes the
-    trapezoidal mass exactly 1.  Only u[lo:hi] is read: the density is 0
-    outside it.
+    Cuts u, finite and non-negative, in place and returns it with the
+    sub-cell boundary and the span (lo, hi) outside which it is now 0.  The
+    node just left of the boundary keeps the partial-cell value that makes
+    the trapezoidal mass exactly 1.  Only u[lo:hi] is read: the density is
+    0 outside it, or, with open_left, unsolved left of lo, and then the cut
+    returns None unless the mass right of lo is at least 1.
     """
     end = u.size if hi is None else min(hi + 2, u.size)
     v = u[lo:end]            # with the zero nodes that close the span's cells
     seg = v[1:] + v[:-1]     # 0.5 (v_k + v_k+1) dx, in place
     seg *= 0.5
     seg *= dx
-    tail = np.empty(v.size)  # mass right of each node, summed right to left
-    tail[-1] = 0.0
-    np.cumsum(seg[::-1], out=tail[-2::-1])
-    if tail[0] < 1.0 - 1e-9:
+    # back[k]: mass right of node v.size - 1 - k, summed right to left; it
+    # never decreases, as the segments are non-negative
+    back = np.empty(v.size)
+    back[0] = 0.0
+    np.cumsum(seg[::-1], out=back[1:])
+    mass = back[-1]
+    if mass < 1.0 and open_left:
+        return None
+    if not mass >= 1.0 - 1e-9:
         raise ArithmeticError("scheme blowup")
-    if tail[0] < 1.0:  # round-off shy of 1: rescale within the guard
-        v = v / tail[0]
-        tail = tail / tail[0]
-    j = v.size - 1 - int(np.argmax(tail[::-1] >= 1.0))   # last with tail >= 1
-    if j == v.size - 1:
-        raise ArithmeticError("scheme blowup")
+    # the last nonzero segment's left node; the zero segments right of it
+    # can hide only subnormal nodes
+    last = v.size - 1 - int(back.searchsorted(0.0, side="right"))
+    if mass < 1.0:  # round-off shy of 1: rescale within the guard
+        v /= mass
+        back /= mass
+    k = int(back.searchsorted(1.0))
+    j = v.size - 1 - k       # the last node with mass >= 1 right of it
     # boundary inside cell [g_j, g_{j+1}]: with linear u the tail is
     # quadratic in the distance s back from g_{j+1}
     a = 0.5 * (v[j] - v[j + 1]) / dx
     b = v[j + 1]
-    c = tail[j + 1] - 1.0
+    c = back[k - 1] - 1.0
     if abs(a) < 1e-14 * max(b, 1.0):
         s = -c / b if b > 0 else dx
     else:
@@ -353,22 +374,18 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
         s = 2.0 * (-c) / (b + math.sqrt(disc))
     s = min(max(s, 0.0), dx)
     boundary = grid[lo + j + 1] - s
-    out = np.zeros_like(u)
-    out[lo + j + 1:end] = v[j + 1:]
     # node j keeps the value that makes the trapezoidal mass exactly 1,
     # counting the half-cell on its left: dx*w + dx*u[j+1]/2 + tail[j+1] = 1
-    w = (1.0 - tail[j + 1]) / dx - 0.5 * v[j + 1]
+    w = (1.0 - back[k - 1]) / dx - 0.5 * v[j + 1]
+    v[:j] = 0.0
     if w >= 0.0:
-        out[lo + j] = w
+        v[j], first = w, j
     else:
-        out[lo + j + 1] = (1.0 - tail[j + 2]) / dx - 0.5 * v[j + 2]
-    return out, float(boundary)
-
-
-def _support(u: np.ndarray, lo: int, hi: int):
-    """Smallest span outside which u is 0, given it is 0 outside u[lo:hi]."""
-    nonzero = u[lo:hi] != 0.0
-    return lo + int(nonzero.argmax()), hi - int(nonzero[::-1].argmax())
+        v[j] = 0.0
+        v[j + 1] = (1.0 - back[k - 2]) / dx - 0.5 * v[j + 2]
+        first = j + 1
+    last += int(v[last:].nonzero()[0][-1])
+    return u, float(boundary), (lo + first, lo + last + 1)
 
 
 class _Stepper:
@@ -382,12 +399,13 @@ class _Stepper:
         self.t = t
         self._cn = {}
 
-    def _diffuse(self, v: np.ndarray, dt: float, lo: int, hi: int):
+    def _diffuse(self, v: np.ndarray, dt: float, lo: int, hi: int,
+                 carry: bool = True):
         key = round(dt / self.params.dt, 12)
         if key not in self._cn:
             self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx, dt,
                                            self.left_value)
-        return self._cn[key].step(v, lo, hi)
+        return self._cn[key].step(v, lo, hi, carry)
 
 
 class _SplitCutStepper(_Stepper):
@@ -395,17 +413,23 @@ class _SplitCutStepper(_Stepper):
 
     def __init__(self, prof: Profile, params: FlowParams):
         super().__init__(prof.grid.copy(), prof.t, params)
-        self.u, self.boundary = _cut_left_mass(self.grid, prof.u, params.dx)
-        self.span = _support(self.u, 0, self.grid.size)
+        self.u, self.boundary, self.span = _cut_left_mass(
+            self.grid, prof.u.copy(), params.dx)
 
     def step(self, dt: float) -> None:
-        u, lo, hi = self._diffuse(self.u, dt, *self.span)
-        live = u[lo:hi]
-        np.maximum(live, 0.0, out=live)
-        live *= math.exp(dt)
-        self.u, self.boundary = _cut_left_mass(self.grid, u, self.params.dx,
-                                               lo, hi)
-        self.span = _support(self.u, lo, min(hi + 2, u.size))
+        # solve without the left carry first: the cut reads no row left of
+        # its cell, so the result is the full solve's whenever the mass
+        # right of the solved rows is at least 1
+        for carry in (False, True):
+            u, lo, hi = self._diffuse(self.u, dt, *self.span, carry)
+            live = u[lo:hi]
+            np.maximum(live, 0.0, out=live)
+            live *= math.exp(dt)
+            cut = _cut_left_mass(self.grid, u, self.params.dx, lo, hi,
+                                 open_left=lo > 0 and not carry)
+            if cut is not None:
+                break
+        self.u, self.boundary, self.span = cut
         self.t += dt
         self._maybe_shift_window()
 

@@ -4,6 +4,8 @@ Unit-scale runs use coarsened grids; the acceptance suite re-runs the
 headline checks at the default resolution.
 """
 
+import contextlib
+import dataclasses
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -53,13 +55,33 @@ def test_cut_left_mass_mechanics():
     grid = np.arange(0.0, 10.0, 0.01)
     u = np.exp(-grid)                   # mass 1 - e^{-10} plus growth
     u_grown = u * math.exp(0.25)
-    cut, boundary = fbpde._cut_left_mass(grid, u_grown, 0.01)
+    cut, boundary, _ = fbpde._cut_left_mass(grid, u_grown, 0.01)
     assert np.trapezoid(cut, grid) == pytest.approx(1.0, abs=1e-12)
     # exact boundary: e^{0.25} e^{-L} = 1 (up to the truncated far tail)
     assert boundary == pytest.approx(0.25, abs=1e-3)
     assert np.all(cut[grid < boundary - 0.011] == 0.0)
     with pytest.raises(ArithmeticError, match="scheme blowup"):
         fbpde._cut_left_mass(grid, 0.5 * u, 0.01)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3],
+                         ids=["inf", "nan", "negative"])
+def test_invalid_profile_rejected_before_any_step(bad):
+    params = fbpde.FlowParams()
+    prof = fbpde.make_initial("pimin", params)
+    prof.u[500] = bad
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        fbpde.solve_density(prof, 0.01, params)
+
+
+def test_split_cut_leaves_the_callers_profile_alone():
+    params = fbpde.FlowParams()
+    prof = fbpde.make_initial("exp:1.2", params)
+    prof.u *= 1.5            # mass 1.5: the first cut zeroes a third of it
+    before = prof.u.tobytes()
+    fbpde.solve_density(prof, 0.01, params)
+    fbpde._SplitCutStepper(prof, params)
+    assert prof.u.tobytes() == before
 
 
 def test_mass_conserved_along_run():
@@ -367,7 +389,7 @@ class FullSolveCN:
         ab[0, 1] = ab[2, -2] = 0.0
         self.ab = ab
 
-    def step(self, v, lo=0, hi=None):
+    def step(self, v, lo=0, hi=None, carry=True):
         rhs = v.copy()
         rhs[1:-1] = v[1:-1] + self.r * (v[:-2] - 2.0 * v[1:-1] + v[2:])
         rhs[0] = self.left_value
@@ -442,3 +464,72 @@ def test_span_steppers_match_full_solve_steppers(params, field, k):
     assert not split.u[:lo].any() and not split.u[hi:].any()
     assert pen.v.tobytes() == pen_ref.v.tobytes()
     assert pen.boundary == pen_ref.boundary
+
+
+def split_cut_states(init, params, patch, k=20):
+    """(u bytes, boundary, span) after each of k split-cut steps."""
+    with patch:
+        split = fbpde._SplitCutStepper(init, params)
+        states = []
+        for _ in range(k):
+            split.step(params.dt)
+            states.append((split.u.tobytes(), split.boundary, split.span))
+    return states
+
+
+def test_span_stepper_falls_back_to_the_full_solve():
+    # the warm-started point mass spreads left: its boundary passes the
+    # stencil's left row, so the cut needs the left carry and the step
+    # solves again with it
+    params = SPAN_GRIDS[1]
+    init = fbpde._warm_start(0.0, params)
+    carries = []
+    cn_step = fbpde._CrankNicolson.step
+
+    def spy(self, v, lo, hi, carry=True):
+        carries.append(carry)
+        return cn_step(self, v, lo, hi, carry)
+
+    states = split_cut_states(
+        init, params, mock.patch.object(fbpde._CrankNicolson, "step", spy))
+    assert carries.count(True) >= 1
+    assert states == split_cut_states(
+        init, params, mock.patch.object(fbpde, "_CrankNicolson", FullSolveCN))
+
+
+def test_span_stepper_at_the_window_end_matches_full_solve():
+    # pimin's density is nonzero up to the window's last interior node,
+    # so the solve runs to the window's end without working out P
+    params = SPAN_GRIDS[0]
+    init = fbpde.make_initial("pimin", params)
+    states = split_cut_states(init, params, contextlib.nullcontext())
+    assert all(span[1] == init.u.size - 1 for _, _, span in states)
+    assert states == split_cut_states(
+        init, params, mock.patch.object(fbpde, "_CrankNicolson", FullSolveCN))
+
+
+def fitting_window(params, spec):
+    """params with the window doubled until the initial tail fits in it."""
+    while True:
+        try:
+            return params, fbpde.make_initial(spec, params)
+        except ValueError:   # x_window too small for the initial right tail
+            params = dataclasses.replace(params,
+                                         x_window=2.0 * params.x_window)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=st.one_of(st.floats(0.7, 6.0).map(lambda lam: f"exp:{lam}"),
+                      st.floats(1.42, 1.85).map(lambda c: f"pic:{c}")),
+       k=st.integers(1, 40))
+@pytest.mark.parametrize("grid", SPAN_GRIDS, ids=["r1.25", "r2.5"])
+def test_split_cut_invariants_after_every_step(grid, spec, k):
+    params, init = fitting_window(grid, spec)
+    split = fbpde._SplitCutStepper(init, params)
+    for _ in range(k):
+        split.step(params.dt)
+        prof = split.snapshot()
+        assert prof.mass() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(prof.u >= 0.0)
+        assert np.all(np.diff(prof.tail().values) <= 0.0)
+        assert math.isfinite(prof.boundary)

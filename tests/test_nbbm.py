@@ -250,8 +250,10 @@ def test_checkpoint_restore_bit_exact_at_random_split_lazy(n, seed, init,
 
 
 def _checkpoint_split(n, seed, init, split, t):
-    # advance_to(s) discards the wait that overshoots s, so the run that
-    # stopped at s in memory is the reference, not a run straight to t
+    # the reference is the run that stopped at s in memory, not a run
+    # straight to t: the plain loop keeps its pending rings across a stop,
+    # but each stop draws its own Gaussian row, and the lazy loop drops
+    # the wait that overshoots s
     s = split * t
     ps = nbbm.new_system(n, init, seed=seed)
     nbbm.advance_to(ps, s)

@@ -1,0 +1,131 @@
+"""Paired benchmark runs of two checkouts; one JSON summary of every metric.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_k.json \\
+        [--pairs 10] [--jobs WORKLOAD:SEED ...] [--trace 0|1]
+
+PARENT and CHANGE are two checkouts of the repository, made for instance
+with ``git archive REV | tar -x -C DIR``.  For each job (by default every
+workload of BENCHMARK.json at seed 1) the script runs the checkout's own
+``bench/run.py --workload W --seed S --seconds T --trace X`` once per side
+and pair, with T the ``run_seconds`` of BENCHMARK.json.  Pair i runs the
+parent first when i is even and the change first when it is odd, so a
+drift of the machine's speed falls on both sides alike.
+
+With --trace 0 it summarises the end-to-end metrics of BENCHMARK.json,
+with --trace 1 the per-layer ones.  For each metric and side it reports
+the median and the quartiles over the pairs, and how many pairs the change
+won (strictly better in the metric's direction).  The output also records
+each run's raw metrics and failures, and the machine: CPU count, the
+python/numpy/scipy versions and NBBM_THREADS (bench/run.py itself sizes
+the replica pool to at most two workers).
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float,
+         trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} "
+                         f"exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    return result
+
+
+def _quartiles(xs) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") \
+        if len(xs) > 1 else (xs[0],) * 3
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def _summary(metrics, parent_runs, change_runs) -> dict:
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pairs = [(p["metrics"].get(name), c["metrics"].get(name))
+                 for p, c in zip(parent_runs, change_runs)]
+        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        if not pairs:
+            continue
+        ps, cs = zip(*pairs)
+        won = sum((c < p) if lower else (c > p) for p, c in pairs)
+        out[name] = {"unit": m["unit"], "better": m["better"],
+                     "parent": _quartiles(ps), "change": _quartiles(cs),
+                     "change_won": won, "pairs": len(pairs)}
+    return out
+
+
+def _version(checkout: Path):
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _environment() -> dict:
+    import numpy
+    import scipy
+    return {"cpus": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "NBBM_THREADS": os.environ.get("NBBM_THREADS")}
+
+
+def main() -> None:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--jobs", nargs="+", metavar="WORKLOAD:SEED",
+                    default=[f"{w['name']}:1" for w in spec["workloads"]])
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args()
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    seconds = spec["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = []
+    for job in args.jobs:
+        workload, seed = job.rsplit(":", 1)
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_run(sides[side], workload, int(seed),
+                                       seconds, args.trace))
+            print(f"{job}: pair {i + 1}/{args.pairs} done", file=sys.stderr,
+                  flush=True)
+        results.append({
+            "workload": workload, "seed": int(seed),
+            "metrics": _summary(metrics, runs["parent"], runs["change"]),
+            "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
+            "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
+            "runs": {s: [r["metrics"] for r in runs[s]] for s in runs}})
+    command = (f"tools/bench_pairs.py PARENT CHANGE --pairs {args.pairs} "
+               f"--jobs {' '.join(args.jobs)} --trace {args.trace}")
+    report = {"command": command, "run_seconds": seconds,
+              "pairs": args.pairs, "trace": args.trace,
+              "checkouts": {s: _version(p) for s, p in sides.items()},
+              "environment": _environment(), "results": results}
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
