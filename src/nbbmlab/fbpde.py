@@ -133,6 +133,8 @@ def make_initial(spec, params: FlowParams):
     if isinstance(spec, Profile):
         if not np.all((spec.u >= 0.0) & (spec.u < math.inf)):  # NaN fails
             raise ValueError("profile density must be finite and >= 0")
+        if not np.allclose(np.diff(spec.grid), params.dx, rtol=1e-9, atol=0.0):
+            raise ValueError("profile grid must be uniform with spacing dx")
         return Profile(spec.grid.copy(), spec.u.copy(), spec.boundary, 0.0)
     if isinstance(spec, str):
         if spec in ("heaviside", "delta"):

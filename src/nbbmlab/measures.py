@@ -1,14 +1,14 @@
 """Empirical measures on the line, centring functionals and exact 1-D Wasserstein costs.
 
 An empirical measure carries N atoms of weight 1/N.  Two costs are used
-throughout: the plain distance |x - y| (W1) and the capped distance
-min(|x - y|, 1) (W).  Both are evaluated on the rank (quantile) coupling,
-which is the optimal transport for |x - y|; with the cap it is a genuine
-metric that dominates the capped Kantorovich optimum and agrees with it
-whenever the coupling moves nothing as far as the cap.  The capped optimum
-itself can be strictly smaller: for atoms {0, 0.4} and {0.7, 1.3} the rank
-coupling costs 0.8 and the optimum, which writes one pair off at the cap,
-0.65.
+throughout, both between measures with the same number of atoms: the plain
+distance |x - y| (W1) and the capped distance min(|x - y|, 1) (W).  Both
+are evaluated on the rank (quantile) coupling, which is the optimal
+transport for |x - y|; with the cap it is a genuine metric that dominates
+the capped Kantorovich optimum and agrees with it whenever the coupling
+moves nothing as far as the cap.  The capped optimum itself can be
+strictly smaller: for atoms {0, 0.4} and {0.7, 1.3} the rank coupling
+costs 0.8 and the optimum, which writes one pair off at the cap, 0.65.
 """
 
 from dataclasses import dataclass
@@ -89,36 +89,25 @@ def recentre(mu: EmpiricalMeasure, mode: str) -> EmpiricalMeasure:
 # ---------------------------------------------------------------------------
 
 def wasserstein_w1(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
-    """Exact W1 (cost |x - y|); rank coupling, common refinement if sizes differ."""
-    if mu1.n == mu2.n:
-        return float(np.abs(mu1.atoms - mu2.atoms).mean())
-    w, d = _refined_quantile_displacements(mu1, mu2)
-    return float(np.dot(w, d))
+    """Exact W1 (cost |x - y|) of two measures of equal size: rank coupling."""
+    return float(np.abs(_paired(mu1, mu2)).mean())
 
 
 def wasserstein_w(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
-    """Capped cost min(|x - y|, 1) of the rank coupling.
+    """Capped cost min(|x - y|, 1) of the rank coupling of two measures of
+    equal size.
 
     Symmetric, satisfies the triangle inequality, never exceeds 1 or the
     W1 distance, and assigns a translation by c the value min(|c|, 1).
-    Unequal atom counts go through the common-refinement quantile coupling.
     """
-    if mu1.n == mu2.n:
-        return float(np.minimum(np.abs(mu1.atoms - mu2.atoms), 1.0).mean())
-    w, d = _refined_quantile_displacements(mu1, mu2)
-    return float(np.dot(w, np.minimum(d, 1.0)))
+    return float(np.minimum(np.abs(_paired(mu1, mu2)), 1.0).mean())
 
 
-def _refined_quantile_displacements(mu1, mu2):
-    """Weights and |x - y| of the quantile coupling on the refined weight grid."""
-    n1, n2 = mu1.n, mu2.n
-    bps = np.union1d(np.arange(1, n1) / n1, np.arange(1, n2) / n2)
-    bps = np.concatenate(([0.0], bps, [1.0]))
-    widths = np.diff(bps)
-    mids = 0.5 * (bps[:-1] + bps[1:])
-    x = mu1.atoms[np.minimum((mids * n1).astype(int), n1 - 1)]
-    y = mu2.atoms[np.minimum((mids * n2).astype(int), n2 - 1)]
-    return widths, np.abs(x - y)
+def _paired(mu1, mu2) -> np.ndarray:
+    """Rank-paired differences; unequal sizes would broadcast, so raise."""
+    if mu1.n != mu2.n:
+        raise ValueError("length mismatch")
+    return mu1.atoms - mu2.atoms
 
 
 # ---------------------------------------------------------------------------

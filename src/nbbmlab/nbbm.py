@@ -136,8 +136,7 @@ class _Clock:
 
     Its next rings are drawn ahead in blocks: their times (ascending) and
     which unit clock rang (the jump pick, uniform on 0..R-1).  Pending rings
-    stay for the next call; dropping them is exact too, since the waits are
-    memoryless.
+    stay for the next call, plain or lazy.
     """
 
     def __init__(self, times=(), picks=()):
@@ -186,7 +185,6 @@ _BAND = 0.3       # a particle further than this above the leftmost turns passiv
 _LEVEL = 0.3      # ... with its level this fraction of its gap above the leftmost
 _SLACK = 0.05     # a front promotion takes every level below leftmost + slack
 _REBUILD = 64     # events between two demotions of the far actives
-_BLOCK = 512      # scalar draws (waits, jump picks, bridge draws) per block
 _NEVER = 1e300    # first-passage lag standing in for a Z = 0 draw
 
 
@@ -200,19 +198,6 @@ def _bridge(t, x, h, T, s, z, e):
     var = (s - t) * (T - s) / (T - t)
     mean = (T - s) / (T - t) * (x - h) + var ** 0.5 * z
     return h + (mean * mean + 2.0 * var * e) ** 0.5
-
-
-class _Draws:
-    """Scalar draws of ``draw(k)`` taken _BLOCK at a time, as floats."""
-
-    def __init__(self, draw):
-        self.draw, self.block, self.k = draw, [], 0
-
-    def __call__(self):
-        if self.k == len(self.block):
-            self.block, self.k = self.draw(_BLOCK).tolist(), 0
-        self.k += 1
-        return self.block[self.k - 1]
 
 
 class _Order:
@@ -359,61 +344,60 @@ class _LazyCall:
         self.place(moved, moved_at, s, low)
 
     def run(self, ps: ParticleSystem, t_end: float, events):
-        rng, rate, others = self.rng, 1.0 / (ps.n - 1), ps.n - 1
+        rng, clock = self.rng, ps.clock
         values, ids, slot, table = self.values, self.ids, self.slot, self.table
-        wait, expo = _Draws(rng.standard_exponential), \
-            _Draws(rng.standard_exponential)
-        normal = _Draws(rng.standard_normal)
-        pick = _Draws(lambda k: rng.integers(others, size=k))
         t, jump, done = ps.time, None, 0
         av = values[:self.size]
         next_level, next_passage = self.by_level.first(), self.by_passage.first()
-        while done < events:
-            s = t + wait() * rate
-            if s > t_end:
-                break
-            z = rng.standard_normal(av.size)
-            z *= math.sqrt(s - t)
-            av += z
-            i = int(av.argmin())
-            low = av[i]
-            while s >= next_passage:
-                y = self.expire(s, next_passage, normal())
-                if y < low:
-                    i, low = self.size - 1, y
-                next_passage = self.by_passage.first()
-                av = values[:self.size]
-            if low > next_level and (next_level := self.by_level.first()) < low:
-                self.front(s, low)
-                av = values[:self.size]
+        while done < events and not clock.passes(t_end):
+            times, picks = clock.take(rng, t, t_end, ps.n - 1, events - done)
+            # one bridge pair (z, e) per ring, used if its target is passive
+            pairs = zip(rng.standard_normal(len(times)).tolist(),
+                        rng.standard_exponential(len(times)).tolist())
+            for s, target, (bz, be) in zip(times, picks, pairs):
+                z = rng.standard_normal(av.size)
+                z *= math.sqrt(s - t)
+                av += z
                 i = int(av.argmin())
                 low = av[i]
-                next_level = self.by_level.first()
-                next_passage = self.by_passage.first()
-            victim, target = int(ids[i]), pick()
-            if target >= victim:
-                target += 1
-            k = slot[target]
-            if k >= 0:
-                y = values[k]
-            else:
-                t0, x, h, T = table[target].tolist()
-                y = _bridge(t0, x, h, T, s, normal(), expo())
-                table[target, 0] = s
-                table[target, 1] = y
-                self.bridge_draws += 1
-            values[i] = y
-            jump = (victim, target, y - low)
-            t = s
-            done += 1
-            if done % _REBUILD == 0:
-                self.demote(s)
-                av = values[:self.size]
-                next_level = self.by_level.first()
-                next_passage = self.by_passage.first()
-        else:
+                while s >= next_passage:
+                    y = self.expire(s, next_passage, rng.standard_normal())
+                    if y < low:
+                        i, low = self.size - 1, y
+                    next_passage = self.by_passage.first()
+                    av = values[:self.size]
+                if low > next_level and \
+                        (next_level := self.by_level.first()) < low:
+                    self.front(s, low)
+                    av = values[:self.size]
+                    i = int(av.argmin())
+                    low = av[i]
+                    next_level = self.by_level.first()
+                    next_passage = self.by_passage.first()
+                victim = int(ids[i])
+                if target >= victim:
+                    target += 1
+                k = slot[target]
+                if k >= 0:
+                    y = values[k]
+                else:
+                    t0, x, h, T = table[target].tolist()
+                    y = _bridge(t0, x, h, T, s, bz, be)
+                    table[target, 0] = s
+                    table[target, 1] = y
+                    self.bridge_draws += 1
+                values[i] = y
+                jump = (victim, target, y - low)
+                t = s
+                done += 1
+                if done % _REBUILD == 0:
+                    self.demote(s)
+                    av = values[:self.size]
+                    next_level = self.by_level.first()
+                    next_passage = self.by_passage.first()
+        if done == events:
             t_end = t                      # stopped by the event count
-        if t_end > t:
+        elif t_end > t:
             z = rng.standard_normal(av.size)
             z *= math.sqrt(t_end - t)
             av += z
@@ -431,17 +415,17 @@ def _run(ps: ParticleSystem, t_end: float, events=math.inf):
     """The event loop: perform up to ``events`` selection events before t_end.
 
     When the next event would fall after t_end, diffuse to t_end and return
-    None; otherwise return the last jump of _jump.  A call at N >= LAZY_MIN_N
-    expecting at least LAZY_MIN_EVENTS events runs lazily (_LazyCall), with
-    its own draws.  Every other call takes its events from ps.clock, which
-    draws waits and jump picks in blocks and keeps the rings past t_end for
-    the next call, and one block of Gaussian rows per batch of events
-    (_steps); the loop itself only adds a row, takes the argmin and copies.
+    None; otherwise return the last jump of _jump.  Every call takes its
+    events from ps.clock, which draws waits and jump picks in blocks and
+    keeps the rings past t_end for the next call.  A call at N >= LAZY_MIN_N
+    expecting at least LAZY_MIN_EVENTS events runs lazily (_LazyCall); every
+    other call takes one block of Gaussian rows per batch of events
+    (_steps), and the loop itself only adds a row, takes the argmin and
+    copies.
     """
     n, rng = ps.n, ps.rng
     if n >= max(LAZY_MIN_N, 2) \
             and min(events, (t_end - ps.time) * (n - 1)) >= LAZY_MIN_EVENTS:
-        ps.clock = _Clock()            # memoryless: the lazy call draws anew
         return _LazyCall(ps).run(ps, t_end, events)
     clock, positions, jump = ps.clock, ps.positions, None
     room = max(_CELLS // n, 1)

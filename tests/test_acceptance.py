@@ -334,7 +334,7 @@ def test_criterion_09_stochastic_representation():
 def test_criterion_10_hydrodynamic_consistency():
     params = fbpde.FlowParams()
     profile = fbpde.solve_density("pimin", 1.0, params).final
-    cases = {256: 24, 1024: 16, 4096: 8}
+    cases = {256: 96, 1024: 96, 4096: 48}
     means, ses = [], []
     for n, reps in cases.items():
         ref = profile.quantile_measure(n)

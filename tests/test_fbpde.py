@@ -74,6 +74,16 @@ def test_invalid_profile_rejected_before_any_step(bad):
         fbpde.solve_density(prof, 0.01, params)
 
 
+@pytest.mark.parametrize("dx", [0.005, 0.02])
+def test_profile_on_another_grid_rejected(dx):
+    # the cut and the Crank-Nicolson matrix read params.dx: a finer profile
+    # would lose half its mass to the first cut, a coarser one blow up
+    params = fbpde.FlowParams()
+    prof = fbpde.make_initial("pimin", dataclasses.replace(params, dx=dx))
+    with pytest.raises(ValueError, match="spacing dx"):
+        fbpde.solve_density(prof, 0.01, params)
+
+
 def test_split_cut_leaves_the_callers_profile_alone():
     params = fbpde.FlowParams()
     prof = fbpde.make_initial("exp:1.2", params)

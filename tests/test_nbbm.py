@@ -251,9 +251,8 @@ def test_checkpoint_restore_bit_exact_at_random_split_lazy(n, seed, init,
 
 def _checkpoint_split(n, seed, init, split, t):
     # the reference is the run that stopped at s in memory, not a run
-    # straight to t: the plain loop keeps its pending rings across a stop,
-    # but each stop draws its own Gaussian row, and the lazy loop drops
-    # the wait that overshoots s
+    # straight to t: both loops keep their pending rings across a stop, but
+    # each stop draws its own Gaussians
     s = split * t
     ps = nbbm.new_system(n, init, seed=seed)
     nbbm.advance_to(ps, s)
@@ -352,6 +351,16 @@ def test_lazy_step_event_takes_the_leftmost(n, seed, init, steps):
             before = ps.positions[ev.victim_index] - ev.displacement
             assert ps.positions.min() >= before - 1e-12 * (1.0 + abs(before))
     assert ps.n_events == steps
+
+
+def test_lazy_call_hands_its_pending_rings_on():
+    # a natural lazy call takes its events from ps.clock like a plain one,
+    # so the rings past its stop survive it, in the state and the checkpoint
+    ps = nbbm.new_system(1024, "pimin", seed=12)
+    nbbm.advance_to(ps, 1.0)
+    assert ps.promotions > 0                       # the call ran lazily
+    rings = nbbm.checkpoint(ps)["ring_times"]
+    assert rings and rings[0] > ps.time == 1.0
 
 
 def _oracle_sample(n, calls, span, reps, seed, run=nbbm.advance_to):

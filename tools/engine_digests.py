@@ -13,7 +13,9 @@ estimate.  The batteries:
 - ``nbbm``: advance_to and step_event at N in {1, 2, 3, 64} from zeros,
   pimin and delta:2, all below nbbm.LAZY_MIN_N;
 - ``nbbm_lazy``: the same at N in {1024, 4096}, where advance_to runs the
-  lazy loop (step_event, one event a call, stays plain);
+  lazy loop (step_event, one event a call, stays plain), and an N = 1024
+  run that alternates long (lazy) calls, 0.01 (plain) calls and
+  step_event, so the event clock's rings pass between the two loops;
 - ``coupling``: step_coupled and advance_coupled at N in
   {2, 3, 16, 64, 256}, over several pairs of starts;
 - ``supermartingale``: supermartingale_increments;
@@ -74,6 +76,20 @@ def nbbm_battery(sizes):
                           ev.displacement)
                 d.add(ps.positions, ps.n_events)
     return battery
+
+
+def lazy_battery(d: Digest) -> None:
+    from nbbmlab import nbbm
+    nbbm_battery(LAZY_SIZES)(d)
+    ps = nbbm.new_system(1024, "pimin", seed=7)
+    for _ in range(4):
+        nbbm.advance_to(ps, ps.time + 0.5)
+        d.add(ps.positions, ps.time, ps.n_events)
+        nbbm.advance_to(ps, ps.time + 0.01)
+        d.add(ps.positions, ps.time, ps.n_events)
+        ev = nbbm.step_event(ps)
+        d.add(ev.time, ev.victim_index, ev.target_index, ev.displacement,
+              ps.positions)
 
 
 def coupling_battery(d: Digest) -> None:
@@ -151,7 +167,7 @@ def pde_battery(d: Digest) -> None:
 
 BATTERIES = {
     "nbbm": nbbm_battery(NBBM_SIZES),
-    "nbbm_lazy": nbbm_battery(LAZY_SIZES),
+    "nbbm_lazy": lazy_battery,
     "coupling": coupling_battery,
     "supermartingale": supermartingale_battery,
     "contraction": contraction_battery,
