@@ -166,11 +166,13 @@ def _cmd_velocity(cfg, out):
 
 
 def _parse_scheme(text):
+    """(scheme, n_penalty) of "split", "split_cut", "penalised" or
+    "penalised:<n>"; FlowParams checks n."""
+    name, colon, n = text.partition(":")
     if text in ("split", "split_cut"):
-        return "split_cut", None
-    if text.startswith("penalised"):
-        n = int(text.split(":", 1)[1]) if ":" in text else 64
-        return "penalised", n
+        return "split_cut", 64
+    if name == "penalised":
+        return "penalised", int(n) if colon else 64
     raise ValueError(f"unknown scheme {text!r}")
 
 
@@ -180,7 +182,7 @@ def _pde_inputs(cfg):
     scheme, n_pen = _parse_scheme(cfg["scheme"])
     params = fbpde.FlowParams(dx=float(cfg["dx"]), dt=float(cfg["dt"]),
                               x_window=float(cfg["window"]), scheme=scheme,
-                              n_penalty=n_pen or 64)
+                              n_penalty=n_pen)
     init = cfg["init"]
     if init.startswith("file:"):
         init = tailcdf_from_csv(init[5:])   # checked as a tail on loading

@@ -46,8 +46,11 @@ class FlowParams:
             raise ValueError("dt exceeds dt_max(dx) for the splitting scheme")
         if self.scheme not in ("split_cut", "penalised"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "penalised" and self.n_penalty < 2:
-            raise ValueError("n_penalty must be at least 2")
+        # exp((n - 1) dt) in the reaction substep must stay a float
+        if self.scheme == "penalised" and \
+                not 2 <= self.n_penalty <= 1 + 700.0 / self.dt:
+            raise ValueError("n_penalty must be at least 2, with "
+                             "(n_penalty - 1) * dt at most 700")
 
     @property
     def tol_stretch(self) -> float:
@@ -172,19 +175,28 @@ def _check_window_tail(tail_at_right: float):
 
 def _wave_profile(wave, params: FlowParams) -> Profile:
     grid = _window_grid(-max(2.0, 0.1 * params.x_window), params)
-    _check_window_tail(wave.tail(grid[-1]))
-    u = wave.density(grid)
-    u /= np.trapezoid(u, grid)
-    return Profile(grid, u, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):   # see _unit_mass
+        _check_window_tail(wave.tail(grid[-1]))
+        return _unit_mass(grid, wave.density(grid))
 
 
 def _exp_profile(lam: float, params: FlowParams) -> Profile:
     if not 0 < lam < math.inf:   # NaN fails too
         raise ValueError("tail rate must be positive and finite")
     grid = _window_grid(-max(2.0, 0.1 * params.x_window), params)
-    _check_window_tail(math.exp(-lam * grid[-1]))
-    u = np.where(grid > 0, lam * np.exp(-lam * np.maximum(grid, 0.0)), 0.0)
-    u /= np.trapezoid(u, grid)
+    with np.errstate(over="ignore", invalid="ignore"):   # see _unit_mass
+        _check_window_tail(math.exp(-lam * grid[-1]))
+        return _unit_mass(grid, np.where(grid > 0, lam * np.exp(
+            -lam * np.maximum(grid, 0.0)), 0.0))
+
+
+def _unit_mass(grid: np.ndarray, u: np.ndarray) -> Profile:
+    """u rescaled to unit mass; ValueError when the grid resolves no finite
+    positive mass (a wave or rate too large for the grid to hold)."""
+    mass = np.trapezoid(u, grid)
+    if not (0.0 < mass < math.inf and np.all(np.isfinite(u))):
+        raise ValueError("initial profile has no finite mass on the grid")
+    u /= mass
     return Profile(grid, u, 0.0, 0.0)
 
 

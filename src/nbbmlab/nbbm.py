@@ -12,7 +12,9 @@ argmin, so a long call runs lazily (_LazyCall): a far particle becomes
 passive, with a level h below it and its first-passage time T to h (Burq &
 Jones 2008).  Until T its path is h plus a Bessel(3) bridge, so it stays
 above h and its value at any time is one draw; only the active particles
-near the leftmost take a Gaussian per event.
+near the leftmost take a Gaussian per event, sliced from a block drawn
+ahead.  The passives wait in sorted runs with a side run for new entries
+(_Order), so adding k of them costs O(k), not O(N).
 """
 
 import bisect
@@ -180,12 +182,21 @@ def _steps(rng: np.random.Generator, t: float, times: list,
 # it (~0.3 ms at N = 1024, the saving of ~50 events).
 LAZY_MIN_N = 1024
 LAZY_MIN_EVENTS = 256
-# Tuning of _LazyCall: any values keep it exact in law, these keep it fast.
+# Tuning of _LazyCall: any values keep it exact in law, these keep it fast
+# (measured on a grid at N = 1024 to 65536, see CHANGES.md).  Above N = 4096
+# the band narrows as 1/sqrt(N), which keeps the number of actives flat.
 _BAND = 0.3       # a particle further than this above the leftmost turns passive
 _LEVEL = 0.3      # ... with its level this fraction of its gap above the leftmost
-_SLACK = 0.05     # a front promotion takes every level below leftmost + slack
-_REBUILD = 64     # events between two demotions of the far actives
+_SLACK = 1 / 3    # a front takes the levels below leftmost + this x band
+_REBUILD = 128    # events between two demotions of the far actives
 _NEVER = 1e300    # first-passage lag standing in for a Z = 0 draw
+_GAUSS = 4096     # least size of a block of the actives' increments
+
+
+def _scalars(draw):
+    """Standard draws one at a time (call next on it), drawn in blocks."""
+    while True:
+        yield from draw(_RINGS).tolist()
 
 
 def _bridge(t, x, h, T, s, z, e):
@@ -200,48 +211,87 @@ def _bridge(t, x, h, T, s, z, e):
     return h + (mean * mean + 2.0 * var * e) ** 0.5
 
 
+def _merged(keys, ids, new_keys, new_ids):
+    """Two sorted runs as one, in key order; on ties the first run first."""
+    keys = np.concatenate((keys, new_keys))
+    order = keys.argsort(kind="stable")
+    return keys[order], np.concatenate((ids, new_ids))[order]
+
+
 class _Order:
     """Passive particles sorted by one key (level or passage time).
 
-    Read from ``head`` on.  An entry goes stale when its particle becomes
-    active or gets a new key; stale entries are skipped at the head and
-    dropped when new entries are merged in.
+    Two sorted runs, each read from its head: the main run and a side run
+    that takes the new entries.  The side run joins the main run only when
+    it outgrows ``bound`` or the main run is spent, so adding k entries
+    costs O(k + bound), not O(N).  An entry goes stale when its particle
+    becomes active or gets a new key; stale entries are skipped at the
+    heads and dropped when the runs join.  On equal keys older entries
+    come first.
     """
 
-    def __init__(self, slot: np.ndarray, key: np.ndarray):
+    def __init__(self, slot: np.ndarray, key: np.ndarray, bound: int):
         self.slot, self.key = slot, key          # key: a column of the table
-        self.keys = np.empty(0)
-        self.ids = np.empty(0, dtype=np.intp)
-        self.head = 0
+        self.bound = bound
+        self.keys = self.side_keys = np.empty(0)
+        self.ids = self.side_ids = np.empty(0, dtype=np.intp)
+        self.head = self.side_head = 0
+        self.at_side = False     # whether first() found its entry at the side
 
     def live(self, ids, keys) -> np.ndarray:
         return (self.slot[ids] < 0) & (self.key[ids] == keys)
 
-    def first(self) -> float:
-        """Smallest live key (inf if none), its entry moved to the head."""
-        keys, ids, p = self.keys, self.ids, self.head
-        while p < keys.size and not (self.slot[ids[p]] < 0
-                                     and self.key[ids[p]] == keys[p]):
+    def _skip(self, keys, ids, p) -> int:
+        """The first live entry of a run from p on (its size if none)."""
+        slot, key, size = self.slot, self.key, keys.size
+        while p < size:
+            q = ids[p]
+            if slot[q] < 0 and key[q] == keys[p]:
+                break
             p += 1
-        self.head = p
-        return keys[p] if p < keys.size else math.inf
+        return p
+
+    def first(self) -> float:
+        """Smallest live key (inf if none), its entry moved to a head."""
+        p = self.head = self._skip(self.keys, self.ids, self.head)
+        q = self.side_head = self._skip(self.side_keys, self.side_ids,
+                                        self.side_head)
+        a = self.keys[p] if p < self.keys.size else math.inf
+        b = self.side_keys[q] if q < self.side_keys.size else math.inf
+        self.at_side = b < a
+        return b if self.at_side else a
+
+    def pop(self) -> int:
+        """The id whose key the last first() returned, removed."""
+        if self.at_side:
+            self.side_head += 1
+            return self.side_ids[self.side_head - 1]
+        self.head += 1
+        return self.ids[self.head - 1]
 
     def take(self, limit: float) -> np.ndarray:
-        """Live ids with key <= limit, removed from the order."""
-        p, stop = self.head, int(np.searchsorted(self.keys, limit, "right"))
-        ids, keys = self.ids[p:stop], self.keys[p:stop]
-        self.head = stop
+        """Live ids with key <= limit in key order, removed from the order."""
+        p, q = self.head, self.side_head
+        self.head = p + int(np.searchsorted(self.keys[p:], limit, "right"))
+        self.side_head = q + int(np.searchsorted(self.side_keys[q:], limit,
+                                                 "right"))
+        keys, ids = _merged(self.keys[p:self.head], self.ids[p:self.head],
+                            self.side_keys[q:self.side_head],
+                            self.side_ids[q:self.side_head])
         return ids[self.live(ids, keys)]
 
     def merge(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        old_keys, old_ids = self.keys[self.head:], self.ids[self.head:]
-        ok = self.live(old_ids, old_keys)
-        old_keys, old_ids = old_keys[ok], old_ids[ok]
         new = keys.argsort()
-        keys = np.concatenate((old_keys, keys[new]))
-        ids = np.concatenate((old_ids, ids[new]))
-        order = keys.argsort(kind="stable")
-        self.keys, self.ids, self.head = keys[order], ids[order], 0
+        q = self.side_head
+        keys, ids = _merged(self.side_keys[q:], self.side_ids[q:], keys[new],
+                            ids[new])
+        if keys.size > self.bound or self.head == self.keys.size:
+            keys, ids = _merged(self.keys[self.head:], self.ids[self.head:],
+                                keys, ids)
+            ok = self.live(ids, keys)
+            self.keys, self.ids, self.head = keys[ok], ids[ok], 0
+            keys, ids = keys[:0], ids[:0]
+        self.side_keys, self.side_ids, self.side_head = keys, ids, 0
 
 
 class _LazyCall:
@@ -256,67 +306,79 @@ class _LazyCall:
 
     At an event the actives diffuse; every passive with T <= s is promoted
     at h + sqrt(s - T) Z, and while a level lies below the smallest active
-    value, the levels below it (plus _SLACK) are promoted by a bridge draw.
+    value, the levels below it (plus _SLACK x band) are drawn as bridges.
     Then no passive can be the leftmost and the victim is the argmin of the
     actives.  A particle leaves the pool, dropping T, only on what is known
     at that time: its level against materialised values, T <= now, or the
     end of the call, never because T is near; so its law given what was
     used stays that of Brownian motion.  Every _REBUILD events the actives
-    more than _BAND above the leftmost turn passive again, and the call
-    ends by materialising every passive, so no lazy state outlives it.
+    more than the band (_BAND, narrower for N > 4096) above the leftmost
+    turn passive again, and the call ends at t_end by materialising every
+    passive, so no lazy state outlives it.
+
+    The passives wait in two _Orders, by level and by passage time (only
+    passage times up to t_end: a later one is never read).  The actives'
+    increments are slices of one flat Gaussian block, and the scalars of
+    expiries and bridge draws come in blocks too.  What a call leaves of
+    its blocks is dropped: which draws are used never depends on their
+    values, so the law holds, and a restored checkpoint draws the same.
     """
 
-    def __init__(self, ps: ParticleSystem):
+    def __init__(self, ps: ParticleSystem, t_end=math.inf):
         n = ps.n
-        self.rng = ps.rng
+        self.rng, self.t_end = ps.rng, t_end
         self.values = np.empty(n)                  # active values by slot
         self.ids = np.empty(n, dtype=np.intp)      # particle in each slot
         self.slot = np.full(n, -1, dtype=np.intp)  # slot, or -1 if passive
         self.table = np.empty((n, 4))              # passive rows (t, x, h, T)
         self.size = 0
-        self.by_level = _Order(self.slot, self.table[:, 2])
-        self.by_passage = _Order(self.slot, self.table[:, 3])
+        self.band = _BAND * min(1.0, math.sqrt(4096 / n))
+        self.by_level = _Order(self.slot, self.table[:, 2], n)
+        self.by_passage = _Order(self.slot, self.table[:, 3], n)
         self.promotions = self.bridge_draws = 0
-        self.place(np.arange(n), ps.positions.copy(), ps.time,
-                   ps.positions.min())
+        self.place(np.arange(n), ps.positions, ps.time, ps.positions.min())
 
     def place(self, ids, values, s, low) -> None:
         """Materialised particles at time s join the actives if within
-        _BAND of ``low``, else turn passive with a fresh level."""
-        far = values > low + _BAND
-        near = ids[~far]
-        k0, k1 = self.size, self.size + near.size
-        self.values[k0:k1] = values[~far]
-        self.ids[k0:k1] = near
-        self.slot[near] = np.arange(k0, k1)
+        the band of ``low``, else turn passive with a fresh level."""
+        far = values > low + self.band
+        near = ~far
+        k0, k1 = self.size, self.size + ids.size - np.count_nonzero(far)
+        self.values[k0:k1] = values[near]
+        self.ids[k0:k1] = ids[near]
+        self.slot[self.ids[k0:k1]] = np.arange(k0, k1)
         self.size = k1
         ids, x = ids[far], values[far]
         h = low + _LEVEL * (x - low)
         with np.errstate(divide="ignore"):
-            lag = np.fmin(((x - h) / self.rng.standard_normal(ids.size)) ** 2,
-                          _NEVER)
+            T = ((x - h) / self.rng.standard_normal(ids.size)) ** 2
+        np.fmin(T, _NEVER, out=T)
+        T += s                           # t + the passage lag
         self.slot[ids] = -1
-        self.table[ids] = np.column_stack((np.full(ids.size, s), x, h, s + lag))
+        table = self.table               # rows written column by column
+        table[ids, 0] = s
+        table[ids, 1] = x
+        table[ids, 2] = h
+        table[ids, 3] = T
         self.by_level.merge(h, ids)
-        self.by_passage.merge(s + lag, ids)
+        soon = T <= self.t_end           # no later passage is ever read
+        self.by_passage.merge(T[soon], ids[soon])
 
     def value_at(self, ids, s) -> np.ndarray:
         """Draw the passives ``ids`` at time s (bridge before T, free after)."""
         t, x, h, T = self.table[ids].T
         z = self.rng.standard_normal(ids.size)
-        y = h + np.sqrt(np.maximum(s - T, 0.0)) * z
+        e = self.rng.standard_exponential(ids.size)
         b = T > s
-        e = self.rng.standard_exponential(np.count_nonzero(b))
-        y[b] = _bridge(t[b], x[b], h[b], T[b], s, z[b], e)
-        self.bridge_draws += e.size
-        return y
+        self.bridge_draws += np.count_nonzero(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(b, _bridge(t, x, h, T, s, z, e),
+                            h + np.sqrt(np.maximum(s - T, 0.0)) * z)
 
     def expire(self, s, T, z) -> float:
         """Activate the head of the passage order: it hit its level h at
         T <= s and has moved freely since.  Returns its value at s."""
-        passage = self.by_passage
-        q = passage.ids[passage.head]
-        passage.head += 1
+        q = self.by_passage.pop()
         k = self.size
         y = self.values[k] = self.table[q, 2] + math.sqrt(s - T) * z
         self.ids[k], self.slot[q] = q, k
@@ -325,17 +387,17 @@ class _LazyCall:
         return y
 
     def front(self, s, low) -> None:
-        """Draw every passive with a level below low + _SLACK at time s."""
-        ids = self.by_level.take(low + _SLACK)
+        """Draw every passive with a level below low + _SLACK x band at s."""
+        ids = self.by_level.take(low + _SLACK * self.band)
         values = self.value_at(ids, s)
         self.promotions += ids.size
         self.place(ids, values, s, min(low, values.min()))
 
     def demote(self, s) -> None:
-        """Actives more than _BAND above the leftmost turn passive."""
+        """Actives more than the band above the leftmost turn passive."""
         av, ids = self.values[:self.size], self.ids[:self.size]
         low = av.min()
-        far = av > low + _BAND
+        far = av > low + self.band
         moved, moved_at, keep = ids[far], av[far], ids[~far]   # copies
         self.values[:keep.size] = av[~far]
         self.ids[:keep.size] = keep
@@ -343,28 +405,33 @@ class _LazyCall:
         self.size = keep.size
         self.place(moved, moved_at, s, low)
 
-    def run(self, ps: ParticleSystem, t_end: float, events):
-        rng, clock = self.rng, ps.clock
+    def run(self, ps: ParticleSystem, events):
+        rng, clock, t_end = self.rng, ps.clock, self.t_end
         values, ids, slot, table = self.values, self.ids, self.slot, self.table
-        t, jump, done = ps.time, None, 0
+        t, jump, done, bridges = ps.time, None, 0, 0
         av = values[:self.size]
         next_level, next_passage = self.by_level.first(), self.by_passage.first()
+        block, p = np.empty(0), 0          # the actives' increments
+        normal = _scalars(rng.standard_normal).__next__
+        exponential = _scalars(rng.standard_exponential).__next__
         while done < events and not clock.passes(t_end):
             times, picks = clock.take(rng, t, t_end, ps.n - 1, events - done)
-            # one bridge pair (z, e) per ring, used if its target is passive
-            pairs = zip(rng.standard_normal(len(times)).tolist(),
-                        rng.standard_exponential(len(times)).tolist())
-            for s, target, (bz, be) in zip(times, picks, pairs):
-                z = rng.standard_normal(av.size)
+            for s, target in zip(times, picks):
+                m = av.size
+                if p + m > block.size:
+                    block, p = rng.standard_normal(max(_GAUSS, 32 * m)), 0
+                z = block[p:p + m]
+                p += m
                 z *= math.sqrt(s - t)
                 av += z
                 i = int(av.argmin())
                 low = av[i]
-                while s >= next_passage:
-                    y = self.expire(s, next_passage, rng.standard_normal())
-                    if y < low:
-                        i, low = self.size - 1, y
-                    next_passage = self.by_passage.first()
+                if s >= next_passage:
+                    while s >= next_passage:
+                        y = self.expire(s, next_passage, normal())
+                        if y < low:
+                            i, low = self.size - 1, y
+                        next_passage = self.by_passage.first()
                     av = values[:self.size]
                 if low > next_level and \
                         (next_level := self.by_level.first()) < low:
@@ -382,12 +449,11 @@ class _LazyCall:
                     y = values[k]
                 else:
                     t0, x, h, T = table[target].tolist()
-                    y = _bridge(t0, x, h, T, s, bz, be)
+                    y = _bridge(t0, x, h, T, s, normal(), exponential())
                     table[target, 0] = s
                     table[target, 1] = y
-                    self.bridge_draws += 1
+                    bridges += 1
                 values[i] = y
-                jump = (victim, target, y - low)
                 t = s
                 done += 1
                 if done % _REBUILD == 0:
@@ -395,6 +461,8 @@ class _LazyCall:
                     av = values[:self.size]
                     next_level = self.by_level.first()
                     next_passage = self.by_passage.first()
+        if done:
+            jump = (victim, target, y - low)
         if done == events:
             t_end = t                      # stopped by the event count
         elif t_end > t:
@@ -407,7 +475,7 @@ class _LazyCall:
         ps.time = t_end
         ps.n_events += done
         ps.promotions += self.promotions
-        ps.bridge_draws += self.bridge_draws
+        ps.bridge_draws += self.bridge_draws + bridges
         return jump
 
 
@@ -426,7 +494,7 @@ def _run(ps: ParticleSystem, t_end: float, events=math.inf):
     n, rng = ps.n, ps.rng
     if n >= max(LAZY_MIN_N, 2) \
             and min(events, (t_end - ps.time) * (n - 1)) >= LAZY_MIN_EVENTS:
-        return _LazyCall(ps).run(ps, t_end, events)
+        return _LazyCall(ps, t_end).run(ps, events)
     clock, positions, jump = ps.clock, ps.positions, None
     room = max(_CELLS // n, 1)
     while n > 1 and events > 0 and not clock.passes(t_end):  # n = 1: no jumps

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nbbmlab
@@ -296,6 +296,15 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["velocity", "--n", "2", "--burn-in", "30", "--horizon", "30"],
     ["pde", "--init", "gaussian"],
     ["pde", "--scheme", "foo"],
+    # a scheme is exactly split, split_cut, penalised or penalised:<n >= 2>
+    ["pde", "--scheme", "penalisedXYZ", "--t", "0.01"],
+    ["pde", "--scheme", "penalised:0", "--t", "0.01"],
+    ["pde", "--scheme", "penalised:+0", "--t", "0.01"],
+    # exp((n - 1) dt) of the reaction substep would overflow
+    ["pde", "--scheme", "penalised:99999999999999999999999", "--t", "0.01"],
+    # a start that the grid resolves as no finite mass
+    ["pde", "--init", "exp:1e308"],
+    ["pde", "--init", "pic:1e308"],
     ["pde", "--dt", "0.02", "--dx", "0.01"],
     ["wave", "--c", "1.0"],
     ["wave", "--c", "1.3"],
@@ -413,3 +422,54 @@ def test_flag_table_rejects_what_it_bounds(data, target):
         assert json.loads(stdout.getvalue().splitlines()[-1])["exit"] == 2
         assert "Traceback" not in stderr.getvalue()
         assert not out.exists()
+
+
+# free-string flags: any text runs (exit 0) or is rejected before work (2)
+FREE_STRINGS = {
+    ("pde", "init"): ["heaviside", "delta", "pimin", "pic:", "exp:", "file:"],
+    ("pde", "scheme"): ["split", "split_cut", "penalised", "penalised:"],
+    ("killedbm", "boundary"): ["", ".", "/", "no/such/"],
+}
+FREE_RUNS = {
+    "pde": ["--t", "0.05", "--dx", "0.05", "--dt", "0.005", "--window", "20"],
+    "killedbm": ["--t", "0.05", "--dt", "0.01", "--paths", "20"],
+}
+
+
+def _free_text(words):
+    """Arbitrary text, and the flag's own words followed by arbitrary text
+    or a number, so that both the parse and the checks after it are hit."""
+    tail = st.text(max_size=12) | st.floats().map(repr) \
+        | st.integers().map(str)
+    return st.text(max_size=20) | st.builds(
+        lambda w, t: w + t, st.sampled_from(words), tail)
+
+
+CASES = st.sampled_from(sorted(FREE_STRINGS)).flatmap(
+    lambda target: st.tuples(st.just(target),
+                             _free_text(FREE_STRINGS[target])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=CASES)
+@example(case=(("pde", "scheme"), "penalisedXYZ"))
+@example(case=(("pde", "scheme"), "penalised:0"))
+@example(case=(("pde", "init"), "exp:1e308"))
+def test_free_string_flags_exit_zero_or_two(case):
+    (sub, key), value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.run([sub, *FREE_RUNS[sub], f"--{key}={value}",
+                            "--out", str(out)])
+        assert code in (0, 2), stdout.getvalue()
+        assert json.loads(stdout.getvalue().splitlines()[-1]).get("exit",
+                                                                  0) == code
+        assert "Traceback" not in stderr.getvalue()
+        assert out.exists() == (code == 0)
+    if key == "scheme" and code == 0:   # only the scheme names run
+        name, colon, n = value.partition(":")
+        assert value in ("split", "split_cut", "penalised") \
+            or (name == "penalised" and int(n) >= 2)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -387,6 +387,93 @@ def test_lazy_loop_matches_plain_loop(n, calls, span, reps, same_law):
     assert last.promotions > 0 and last.bridge_draws > 0
     same_law(f"N={n} plain / lazy:", plain, lazy,
              ("L_t - L_0", "n_events", "gap"))
+
+
+def test_lazy_loop_matches_plain_loop_at_natural_n(same_law):
+    # N = 1024 with the production knobs: every call expects ~1023 events,
+    # so it runs lazily; the oracle is the plain loop at the same N
+    n, calls, span, reps = 1024, 2, 1.0, 150
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nbbm, "LAZY_MIN_N", 10 ** 9)
+        plain, last = _oracle_sample(n, calls, span, reps, 71_024)
+    assert last.promotions == 0
+    lazy, last = _oracle_sample(n, calls, span, reps, 81_024)
+    assert last.promotions > 0 and last.bridge_draws > 0
+    same_law(f"N={n} plain / lazy:", plain, lazy,
+             ("L_t - L_0", "n_events", "gap"))
+
+
+# keys with ties across particles; a particle never gets a key it had before
+ORDER_OPS = st.lists(st.tuples(st.sampled_from(["merge", "take", "first",
+                                                "pop", "activate", "rekey"]),
+                               st.lists(st.integers(0, 9), max_size=6),
+                               st.integers(0, 6)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=ORDER_OPS, bound=st.integers(0, 12))
+# equal keys in the main and the side run, popped and then merged together
+@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("pop", [], 0)],
+         bound=1)
+@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("take", [], 6)],
+         bound=1)
+@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("merge", [3], 0),
+              ("take", [], 6)], bound=1)
+def test_order_against_a_sorted_list(ops, bound):
+    # nbbm._Order against the live (key, id) pairs kept by brute force: an
+    # entry is live while its particle is passive (slot < 0) with that key
+    m = 10
+    slot = np.zeros(m, dtype=np.intp)           # all active at first
+    key = np.full(m, -1.0)
+    order = nbbm._Order(slot, key, bound)
+    entries, used, ages = [], {i: set() for i in range(m)}, iter(range(99))
+
+    def live():
+        return sorted((k, age, i) for k, age, i in entries
+                      if slot[i] < 0 and key[i] == k)
+
+    def remove(found):
+        for k, age, i in found:
+            entries.remove((k, age, i))
+
+    def new_key(i, x):
+        k = x / 4.0
+        while k in used[i]:
+            k += 0.125
+        used[i].add(k)
+        return k
+
+    for op, ids, x in ops:
+        if op == "merge":
+            ids = [i for i in dict.fromkeys(ids) if slot[i] >= 0]
+            keys = np.array([new_key(i, x + j % 3) for j, i in enumerate(ids)])
+            slot[ids], key[ids] = -1, keys
+            age = next(ages)
+            entries.extend((k, age, i) for k, i in zip(keys, ids))
+            order.merge(keys, np.array(ids, dtype=np.intp))
+        elif op == "take":
+            # in key order, older entries first on ties (a batch's own ties
+            # in any order)
+            found = [e for e in live() if e[0] <= x / 4.0]
+            got = order.take(x / 4.0)
+            age = {i: a for _, a, i in found}
+            assert sorted(got) == sorted(i for _, _, i in found)
+            assert [(key[i], age[i]) for i in got] == [e[:2] for e in found]
+            remove(found)
+        elif op in ("first", "pop"):
+            found = live()
+            assert order.first() == (found[0][0] if found else math.inf)
+            if op == "pop" and found:
+                i = order.pop()
+                (e,) = [e for e in found if e[2] == i]
+                assert e[:2] == found[0][:2]
+                remove([e])
+        elif op == "activate":
+            slot[ids] = 0
+        else:                                   # a passive gets a new key
+            for i in dict.fromkeys(ids):
+                if slot[i] < 0:
+                    key[i] = new_key(i, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Paired benchmark runs of two checkouts; one JSON summary of every metric.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_k.json \\
-        [--pairs 10] [--jobs WORKLOAD:SEED ...] [--trace 0|1]
+        [--pairs 10] [--jobs WORKLOAD:SEED[:PAIRS] ...] [--trace 0|1]
 
 PARENT and CHANGE are two checkouts of the repository, made for instance
 with ``git archive REV | tar -x -C DIR``.  For each job (by default every
 workload of BENCHMARK.json at seed 1) the script runs the checkout's own
 ``bench/run.py --workload W --seed S --seconds T --trace X`` once per side
-and pair, with T the ``run_seconds`` of BENCHMARK.json.  Pair i runs the
+and pair, with T the ``run_seconds`` of BENCHMARK.json, for PAIRS pairs
+(--pairs when a job names none).  Pair i runs the
 parent first when i is even and the change first when it is odd, so a
 drift of the machine's speed falls on both sides alike.
 
@@ -94,7 +95,7 @@ def main() -> None:
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--jobs", nargs="+", metavar="WORKLOAD:SEED",
+    ap.add_argument("--jobs", nargs="+", metavar="WORKLOAD:SEED[:PAIRS]",
                     default=[f"{w['name']}:1" for w in spec["workloads"]])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
@@ -103,17 +104,18 @@ def main() -> None:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = []
     for job in args.jobs:
-        workload, seed = job.rsplit(":", 1)
+        workload, seed, *pairs = job.split(":")
+        pairs = int(pairs[0]) if pairs else args.pairs
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(_run(sides[side], workload, int(seed),
                                        seconds, args.trace))
-            print(f"{job}: pair {i + 1}/{args.pairs} done", file=sys.stderr,
+            print(f"{job}: pair {i + 1}/{pairs} done", file=sys.stderr,
                   flush=True)
         results.append({
-            "workload": workload, "seed": int(seed),
+            "workload": workload, "seed": int(seed), "pairs": pairs,
             "metrics": _summary(metrics, runs["parent"], runs["change"]),
             "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
             "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
