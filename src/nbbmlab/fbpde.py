@@ -264,16 +264,38 @@ class _CrankNicolson:
     - Right of z the forward sweep is bounded by rho^k max|rhs| / (1 - rho).
       P, worked out from max|rhs| unless z is the last interior row, is
       the number of nodes that takes this bound below half the smallest
-      subnormal; past z + P the full solve is exactly 0.  For rho > 1/2 (r > 2) the rounded sweep
-      never reaches 0: rho times the smallest subnormal rounds back up to
-      it, so the sweep sticks at a few subnormal ulps, which the division
-      by d_inf > 1 + 1 / (1 - rho) rounds to 0.  The full solve thus pays
-      subnormal arithmetic on every node of both zero regions; the span
-      solve does not visit them.
+      subnormal; past z + P the full solve is 0 (-0.0 where the sweep past
+      z is negative, which the step leaves +0.0).  For rho > 1/2 (r > 2)
+      the rounded sweep never reaches 0: rho times the smallest subnormal
+      rounds back up to it, so the sweep sticks at a few subnormal ulps,
+      which the division by d_inf > 1 + 1 / (1 - rho) rounds to 0.  At
+      r = 2.5, with max|rhs| of order 1, P is ~1,200 rows of such
+      subnormal arithmetic, nearly all of them past the data.
+    - So the solve first stops SHORT_END rows past z, at row e - 1, and
+      keeps that result when its last row is +0.0 and the rows from e - 1
+      on have no interchange and the diagonal d_inf, bit for bit (true
+      from a few dozen rows below the top).  That last row is y / d_inf
+      for the forward value y there, so y is +0.0 or a positive
+      subnormal that the division rounds to +0.0.  Past z the right-hand
+      side is +0.0 and the multipliers are -rho, so the full forward
+      sweep goes on with fl(rho y): never negative, never -0.0, never
+      larger (the last row's multiplier is 0).  Back substitution from
+      the last row, whose diagonal is 1, then meets x = +0.0 right of
+      every row i >= e - 1: y_i - du_i x_i+1 - du2_i x_i+2 is y_i, which
+      d_inf divides to +0.0.  Left of e - 1 the short solve runs the same
+      operations on the same values, except that at row e - 2 the full
+      solve also subtracts du2 x_e = 0 * (+0.0) = +0.0, which leaves any
+      value, -0.0 included, as it is.  So rows [lo, e) of the short solve
+      are the full solve's and every row past them is +0.0, as the step
+      leaves them.  Otherwise (the data at z lies far above the
+      subnormals, or the sweep there is negative) the step rebuilds the
+      right-hand side and solves up to z + P.
     - The span never starts inside the top rows that dgttrf interchanges
       (rows 0-1 for r = 2.5, as d[0] = 1 < r): it starts at 0 instead, as
       it does whenever the left value is nonzero.
     """
+
+    SHORT_END = 48
 
     def __init__(self, n: int, dx: float, dt: float, left_value: float = 0.0):
         r = dt / (4.0 * dx * dx)
@@ -292,6 +314,12 @@ class _CrankNicolson:
         self._unpivoted = np.arange(1, n + 1, dtype=self._lu[4].dtype)
         pivoted = np.flatnonzero(self._lu[4] != self._unpivoted)
         self._pivoted = int(pivoted[-1]) + 1 if pivoted.size else 0
+        # rows from _settled on, bar the last, have no interchange and the
+        # diagonal d_inf of the interior rows, bit for bit
+        d = self._lu[1]
+        unsettled = np.flatnonzero(d[:n - 1] != d[n - 2])
+        self._settled = max(self._pivoted,
+                            int(unsettled[-1]) + 1 if unsettled.size else 0)
         rho = r / (0.5 * (1.0 + 2.0 * r + math.sqrt(1.0 + 4.0 * r)))
         self._log_rho = math.log(rho)
         # log of (half the smallest subnormal) * (1 - rho)
@@ -304,6 +332,28 @@ class _CrankNicolson:
             return self.n if m else 0
         return int((self._log_floor - math.log(m)) / self._log_rho) + 1
 
+    def _rhs(self, v: np.ndarray, a: int, z: int) -> np.ndarray:
+        """The right-hand side, 0 outside the rows [a, z] and the left end."""
+        rhs = np.zeros(self.n)
+        rhs[0] = self.left_value
+        # v + r (v_left - 2 v + v_right), evaluated in place in that order
+        mid = rhs[a:z]
+        np.multiply(v[a:z], 2.0, out=mid)
+        np.subtract(v[a - 1:z - 1], mid, out=mid)
+        mid += v[a + 1:z + 1]
+        mid *= self.r
+        mid += v[a:z]
+        return rhs
+
+    def _solve(self, rhs: np.ndarray, lo: int, hi: int) -> None:
+        """Solve the rows [lo, hi) in place in rhs."""
+        dl, d, du, du2, ipiv = self._lu
+        ipiv = ipiv[:hi] if lo == 0 else self._unpivoted[:hi - lo]
+        _, info = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
+                         du2[lo:hi - 2], ipiv, rhs[lo:hi], overwrite_b=True)
+        if info:
+            raise ArithmeticError("Crank-Nicolson solve failed")
+
     def step(self, v: np.ndarray, lo: int, hi: int, carry: bool = True):
         """One step of v, which is 0 outside v[lo:hi].
 
@@ -314,18 +364,11 @@ class _CrankNicolson:
         n = self.n
         # the stencil's reach, within the interior rows
         a, z = max(lo - 1, 1), min(hi + 1, n - 1)
-        rhs = np.zeros(n)
-        rhs[0] = self.left_value
-        # v + r (v_left - 2 v + v_right), evaluated in place in that order
-        mid = rhs[a:z]
-        np.multiply(v[a:z], 2.0, out=mid)
-        np.subtract(v[a - 1:z - 1], mid, out=mid)
-        mid += v[a + 1:z + 1]
-        mid *= self.r
-        mid += v[a:z]
+        rhs = self._rhs(v, a, z)
         lo = 0 if self.left_value else a
         hi = n
         if z < n - 1 or (carry and lo):   # P moves an end of the solve
+            mid = rhs[a:z]
             reach = self._reach(max(mid.max(), -mid.min(),
                                     abs(self.left_value)))
             hi = min(z + reach, n)
@@ -333,12 +376,14 @@ class _CrankNicolson:
                 lo -= reach
         if lo < self._pivoted:
             lo = 0
-        dl, d, du, du2, ipiv = self._lu
-        ipiv = ipiv[:hi] if lo == 0 else self._unpivoted[:hi - lo]
-        _, info = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
-                         du2[lo:hi - 2], ipiv, rhs[lo:hi], overwrite_b=True)
-        if info:
-            raise ArithmeticError("Crank-Nicolson solve failed")
+        end = z + self.SHORT_END
+        if self._settled < end < hi:
+            self._solve(rhs, lo, end)
+            last = rhs[end - 1]
+            if last == 0.0 and not np.signbit(last):
+                return rhs, lo, end
+            rhs = self._rhs(v, a, z)
+        self._solve(rhs, lo, hi)
         return rhs, lo, hi
 
 
@@ -355,14 +400,16 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
     """
     end = u.size if hi is None else min(hi + 2, u.size)
     v = u[lo:end]            # with the zero nodes that close the span's cells
-    seg = v[1:] + v[:-1]     # 0.5 (v_k + v_k+1) dx, in place
-    seg *= 0.5
-    seg *= dx
-    # back[k]: mass right of node v.size - 1 - k, summed right to left; it
-    # never decreases, as the segments are non-negative
+    # back[k]: mass right of node v.size - 1 - k, summed right to left from
+    # the segments 0.5 (v_k + v_k+1) dx; it never decreases, as the
+    # segments are non-negative
     back = np.empty(v.size)
     back[0] = 0.0
-    np.cumsum(seg[::-1], out=back[1:])
+    seg = back[1:]
+    np.add(v[:0:-1], v[-2::-1], out=seg)
+    seg *= 0.5
+    seg *= dx
+    np.add.accumulate(seg, out=seg)
     mass = back[-1]
     if mass < 1.0 and open_left:
         return None
@@ -376,21 +423,21 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
         back /= mass
     k = int(back.searchsorted(1.0))
     j = v.size - 1 - k       # the last node with mass >= 1 right of it
+    vj, b, tail = float(v[j]), float(v[j + 1]), float(back[k - 1])
     # boundary inside cell [g_j, g_{j+1}]: with linear u the tail is
     # quadratic in the distance s back from g_{j+1}
-    a = 0.5 * (v[j] - v[j + 1]) / dx
-    b = v[j + 1]
-    c = back[k - 1] - 1.0
+    a = 0.5 * (vj - b) / dx
+    c = tail - 1.0
     if abs(a) < 1e-14 * max(b, 1.0):
         s = -c / b if b > 0 else dx
     else:
         disc = max(b * b - 4.0 * a * c, 0.0)
         s = 2.0 * (-c) / (b + math.sqrt(disc))
     s = min(max(s, 0.0), dx)
-    boundary = grid[lo + j + 1] - s
+    boundary = float(grid[lo + j + 1]) - s
     # node j keeps the value that makes the trapezoidal mass exactly 1,
     # counting the half-cell on its left: dx*w + dx*u[j+1]/2 + tail[j+1] = 1
-    w = (1.0 - back[k - 1]) / dx - 0.5 * v[j + 1]
+    w = (1.0 - tail) / dx - 0.5 * b
     v[:j] = 0.0
     if w >= 0.0:
         v[j], first = w, j
@@ -399,7 +446,7 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
         v[j + 1] = (1.0 - back[k - 2]) / dx - 0.5 * v[j + 2]
         first = j + 1
     last += int(v[last:].nonzero()[0][-1])
-    return u, float(boundary), (lo + first, lo + last + 1)
+    return u, boundary, (lo + first, lo + last + 1)
 
 
 class _Stepper:
@@ -412,14 +459,17 @@ class _Stepper:
         self.grid = grid
         self.t = t
         self._cn = {}
+        self._last = (None, None, None)   # dt, its CN solver and e^dt
 
-    def _diffuse(self, v: np.ndarray, dt: float, lo: int, hi: int,
-                 carry: bool = True):
-        key = round(dt / self.params.dt, 12)
-        if key not in self._cn:
-            self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx, dt,
-                                           self.left_value)
-        return self._cn[key].step(v, lo, hi, carry)
+    def _solver(self, dt: float):
+        """(CN solver, e^dt) for steps of dt; looked up only when dt changes."""
+        if dt != self._last[0]:
+            key = round(dt / self.params.dt, 12)
+            if key not in self._cn:
+                self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx,
+                                               dt, self.left_value)
+            self._last = (dt, self._cn[key], math.exp(dt))
+        return self._last[1:]
 
 
 class _SplitCutStepper(_Stepper):
@@ -434,11 +484,12 @@ class _SplitCutStepper(_Stepper):
         # solve without the left carry first: the cut reads no row left of
         # its cell, so the result is the full solve's whenever the mass
         # right of the solved rows is at least 1
+        cn, growth = self._solver(dt)
         for carry in (False, True):
-            u, lo, hi = self._diffuse(self.u, dt, *self.span, carry)
+            u, lo, hi = cn.step(self.u, *self.span, carry)
             live = u[lo:hi]
             np.maximum(live, 0.0, out=live)
-            live *= math.exp(dt)
+            live *= growth
             cut = _cut_left_mass(self.grid, u, self.params.dx, lo, hi,
                                  open_left=lo > 0 and not carry)
             if cut is not None:
@@ -541,14 +592,23 @@ def solve_density(u0, t_end: float, params: FlowParams,
 # ---------------------------------------------------------------------------
 
 def _penalised_reaction(u: np.ndarray, n: int, dt: float) -> np.ndarray:
-    """Exact solution of U' = U - U^n over dt (Bernoulli equation)."""
+    """Exact solution of U' = U - U^n over dt (Bernoulli equation), for U
+    in [0, 1]."""
     growth = math.exp(dt)
-    small = u < 1e-4
+
+    def exact(us):
+        bracket = 1.0 + us ** (n - 1) * (math.exp((n - 1) * dt) - 1.0)
+        return us * growth / bracket ** (1.0 / (n - 1))
+
+    small = u < 1e-4   # U^n negligible below 1e-4
+    k = u.size - int(np.count_nonzero(small))
+    if small[k:].all():   # the small entries are the trailing ones
+        out = u * growth
+        out[:k] = exact(u[:k])
+        return out
     out = np.empty_like(u)
-    us = np.clip(u[~small], 0.0, 1.0)
-    bracket = 1.0 + us ** (n - 1) * (math.exp((n - 1) * dt) - 1.0)
-    out[~small] = us * growth / bracket ** (1.0 / (n - 1))
-    out[small] = u[small] * growth    # U^n negligible below 1e-4
+    out[~small] = exact(u[~small])
+    out[small] = u[small] * growth
     return out
 
 
@@ -593,7 +653,7 @@ class _PenalisedStepper(_Stepper):
         return b
 
     def step(self, dt: float) -> None:
-        v, _, _ = self._diffuse(self.v, dt, 0, self.grid.size)
+        v, _, _ = self._solver(dt)[0].step(self.v, 0, self.grid.size)
         np.clip(v, 0.0, 1.0, out=v)
         v = _penalised_reaction(v, self.params.n_penalty, dt)
         np.clip(v, 0.0, 1.0, out=v)

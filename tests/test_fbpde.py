@@ -518,6 +518,79 @@ def test_span_stepper_at_the_window_end_matches_full_solve():
         init, params, mock.patch.object(fbpde, "_CrankNicolson", FullSolveCN))
 
 
+def decay_factor(params):
+    """rho = r / d_inf, the per-node decay of the CN forward sweep."""
+    r = params.dt / (4.0 * params.dx ** 2)
+    return r / (0.5 * (1.0 + 2.0 * r + math.sqrt(1.0 + 4.0 * r)))
+
+
+def solve_ends(cn, v, lo, hi, carry=True):
+    """cn.step(v, lo, hi, carry) and the right end of each solve it ran."""
+    ends = []
+    solve = cn._solve
+
+    def spy(rhs, lo, hi):
+        ends.append(hi)
+        solve(rhs, lo, hi)
+
+    with mock.patch.object(cn, "_solve", spy):
+        return cn.step(v, lo, hi, carry), ends
+
+
+@pytest.mark.parametrize("edge", ["creeping", "order_one"])
+def test_span_solve_short_end_keeps_or_falls_back(edge):
+    # a body of O(1) values whose right edge either decays by rho per node
+    # into the subnormals, as the split-cut density's does, or stops at O(1)
+    params = SPAN_GRIDS[1]
+    n, lo, hi = 4001, 1000, 1400
+    v = np.zeros(n)
+    v[lo:hi] = 1.0
+    if edge == "creeping":
+        tail = decay_factor(params) ** np.arange(1.0, 1500.0)
+        tail = tail[tail > 0.0]
+        v[hi:hi + tail.size] = tail
+        hi += tail.size
+    cn = fbpde._CrankNicolson(n, params.dx, params.dt)
+    (x, xlo, xhi), ends = solve_ends(cn, v, lo, hi)
+    short = hi + 1 + cn.SHORT_END   # z + SHORT_END
+    if edge == "creeping":
+        assert ends == [short] and xhi == short
+    else:   # the short solve is tried, then the solve runs on to z + P
+        assert len(ends) == 2 and ends[0] == short and xhi == ends[1] > short
+    ref, _, _ = FullSolveCN(n, params.dx, params.dt).step(v)
+    assert x[xlo:].tobytes() == ref[xlo:].tobytes()
+
+
+@st.composite
+def creeping_edge_fields(draw, rho, n=4001):
+    """A non-negative field, 0 left of lo, of order scale on a body, then
+    decaying by rho per node until it underflows to 0 at hi."""
+    lo = draw(st.integers(50, n // 2))
+    body = draw(st.integers(3, n // 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 0))
+    tail = scale * rho ** np.arange(1.0, n)
+    tail = tail[:np.count_nonzero(tail)]
+    v = np.zeros(n)
+    v[lo:lo + body] = scale * rng.exponential(size=body)
+    hi = min(lo + body + tail.size, n - 1)
+    v[lo + body:hi] = tail[:hi - lo - body]
+    return v, lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), carry=st.booleans())
+@pytest.mark.parametrize("params", SPAN_GRIDS, ids=["r1.25", "r2.5"])
+def test_span_solve_of_creeping_edges_matches_full_solve(params, data, carry):
+    v, lo, hi = data.draw(creeping_edge_fields(decay_factor(params)))
+    x, lo, hi = fbpde._CrankNicolson(v.size, params.dx, params.dt).step(
+        v, lo, hi, carry)
+    ref, _, _ = FullSolveCN(v.size, params.dx, params.dt).step(v)
+    # bytes, so -0.0 and +0.0 differ
+    assert x[lo:].tobytes() == ref[lo:].tobytes()
+    assert not x[:lo].any() and not x[hi:].any()
+
+
 def fitting_window(params, spec):
     """params with the window doubled until the initial tail fits in it."""
     while True:

@@ -3,8 +3,12 @@
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_k.json \\
         [--pairs 10] [--jobs WORKLOAD:SEED[:PAIRS] ...] [--trace 0|1]
 
-PARENT and CHANGE are two checkouts of the repository, made for instance
-with ``git archive REV | tar -x -C DIR``.  For each job (by default every
+PARENT and CHANGE are each a directory holding a checkout of the
+repository, or a git revision of this repository, which the script
+exports with ``git archive`` into a temporary directory and removes after
+the runs.  The report records each side's full commit id: the revision's,
+or for a directory the HEAD of the git work tree it is in (null when it is
+in none).  For each job (by default every
 workload of BENCHMARK.json at seed 1) the script runs the checkout's own
 ``bench/run.py --workload W --seed S --seconds T --trace X`` once per side
 and pair, with T the ``run_seconds`` of BENCHMARK.json, for PAIRS pairs
@@ -28,6 +32,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +82,26 @@ def _version(checkout: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def _checkout(arg: str, dest: Path):
+    """(directory, commit id) of a checkout directory, or of a git revision
+    exported into dest."""
+    if Path(arg).is_dir():
+        return Path(arg).resolve(), _version(Path(arg))
+    proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                           "--quiet", f"{arg}^{{commit}}"],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"bench_pairs: {arg!r} is neither a directory nor "
+                         f"a git revision")
+    commit = proc.stdout.strip()
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
+    return dest, commit
+
+
 def _environment() -> dict:
     import numpy
     import scipy
@@ -88,20 +113,10 @@ def _environment() -> dict:
             "NBBM_THREADS": os.environ.get("NBBM_THREADS")}
 
 
-def main() -> None:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--jobs", nargs="+", metavar="WORKLOAD:SEED[:PAIRS]",
-                    default=[f"{w['name']}:1" for w in spec["workloads"]])
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = ap.parse_args()
+def _pairs(args, spec: dict, sides: dict) -> list:
+    """Every job's paired runs of the two checkouts, summarised."""
     metrics = spec["per_layer" if args.trace else "end_to_end"]
     seconds = spec["run_seconds"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = []
     for job in args.jobs:
         workload, seed, *pairs = job.split(":")
@@ -120,11 +135,29 @@ def main() -> None:
             "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
             "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
             "runs": {s: [r["metrics"] for r in runs[s]] for s in runs}})
+    return results
+
+
+def main() -> None:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="checkout directory or git revision")
+    ap.add_argument("change", help="checkout directory or git revision")
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--jobs", nargs="+", metavar="WORKLOAD:SEED[:PAIRS]",
+                    default=[f"{w['name']}:1" for w in spec["workloads"]])
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        checkouts = {side: _checkout(getattr(args, side), Path(tmp) / side)
+                     for side in ("parent", "change")}
+        results = _pairs(args, spec, {s: d for s, (d, _) in checkouts.items()})
     command = (f"tools/bench_pairs.py PARENT CHANGE --pairs {args.pairs} "
                f"--jobs {' '.join(args.jobs)} --trace {args.trace}")
-    report = {"command": command, "run_seconds": seconds,
+    report = {"command": command, "run_seconds": spec["run_seconds"],
               "pairs": args.pairs, "trace": args.trace,
-              "checkouts": {s: _version(p) for s, p in sides.items()},
+              "checkouts": {s: c for s, (_, c) in checkouts.items()},
               "environment": _environment(), "results": results}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 

@@ -1,14 +1,14 @@
-"""Run fixed-seed batteries of the particle engines; print one digest each.
+"""Run fixed-seed batteries of the engines; print one digest each.
 
-    python3 tools/engine_digests.py
+    python3 tools/engine_digests.py [BATTERY ...]
 
 The library-level twin of readme_artefacts.py: each battery calls the
 engines directly, with fixed seeds and small sizes, and hashes the raw
 bytes of every float and count they return.  One line per battery: its
 name and the SHA-256 of everything it produced.  Running this on two
 checkouts and diffing the outputs shows whether a change altered a single
-bit of the particle loop, the coupled loop, the W1 gaps or the velocity
-estimate.  The batteries:
+bit of the particle loop, the coupled loop, the W1 gaps, the velocity
+estimate or the PDE steppers.  The batteries:
 
 - ``nbbm``: advance_to and step_event at N in {1, 2, 3, 64} from zeros,
   pimin and delta:2, all below nbbm.LAZY_MIN_N;
@@ -28,6 +28,10 @@ estimate.  The batteries:
   to t = 0.2, from exp:1.2 and from a point mass at 1; and solve_cdf's
   penalised flow from exp:1.2.  It runs no particle code, so it must not
   move when only the particle engines change.
+
+With battery names as arguments only those run, in the order given (so a
+PDE-only change can prove its digest with ``engine_digests.py pde``); an
+unknown name exits 2 before any battery runs.
 """
 
 import hashlib
@@ -179,10 +183,16 @@ BATTERIES = {
 
 
 def main() -> None:
+    names = sys.argv[1:] or list(BATTERIES)
+    unknown = [name for name in names if name not in BATTERIES]
+    if unknown:
+        print(f"engine_digests: unknown battery {', '.join(unknown)}; "
+              f"choose from {', '.join(BATTERIES)}", file=sys.stderr)
+        sys.exit(2)
     sys.path.insert(0, str(ROOT / "src"))
-    for name, battery in BATTERIES.items():
+    for name in names:
         d = Digest()
-        battery(d)
+        BATTERIES[name](d)
         print(f"{name} {d.hexdigest()}", flush=True)
 
 
