@@ -66,7 +66,7 @@ def _resolve(sub: str, cfg: dict, flags: dict) -> dict:
 def _numbers(text, kind=float) -> list:
     """A comma-separated list flag (or a JSON list from a config file)."""
     toks = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    return [kind(tok) for tok in toks if tok != ""]
+    return [kind(str(tok)) for tok in toks if tok != ""]
 
 
 class _OutputDir:
@@ -188,7 +188,7 @@ def _pde_inputs(cfg):
         init = tailcdf_from_csv(init[5:])   # checked as a tail on loading
     start = fbpde.start_time(init, params)
     t_end = float(cfg["t"])
-    saves = _numbers(cfg["save"]) if cfg["save"] else [t_end]
+    saves = _numbers(cfg["save"]) or [t_end]
     if min(saves + [t_end]) < start:
         raise ValueError(f"--t and --save must be >= the warm start {start:g}")
     if max(saves) > t_end:
@@ -451,8 +451,10 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
-# how a flag's value is read as numbers; other kinds have no numeric value
-_NUMBERS = {"int": lambda v: [int(v)], "float": lambda v: [float(v)],
+# how a flag's value is read as numbers, from its text as the flag form
+# reads it, so a config file's 3.7 or true is no int, as --n 3.7 is none;
+# other kinds have no numeric value
+_NUMBERS = {"int": lambda v: [int(str(v))], "float": lambda v: [float(str(v))],
             "ints": lambda v: _numbers(v, int), "floats": _numbers}
 
 
@@ -474,7 +476,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_flag(flag: Flag, value) -> None:
+def _check_flag(flag: Flag, value):
+    """The value, checked against the flag; an int or float flag's comes
+    back as the number its flag form gives."""
     if flag.kind == "init":
         if not isinstance(value, str):
             raise ValueError(f"{value!r} is not an init spec string")
@@ -493,6 +497,7 @@ def _check_flag(flag: Flag, value) -> None:
             raise ValueError(f"must be >= {flag.low:g}")
         if flag.above is not None and v <= flag.above:
             raise ValueError(f"must be > {flag.above:g}")
+    return numbers[0] if flag.kind in ("int", "float") else value
 
 
 def _check_scales(sub: str, cfg: dict) -> None:
@@ -506,18 +511,19 @@ def _check_scales(sub: str, cfg: dict) -> None:
             for n in _numbers(cfg["n"], int):
                 stationary.sample_span(n, cfg["burn_in"], cfg["horizon"],
                                        **spacing)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # no or too many snapshots
         raise ConfigError(f"conflicting scale parameters: {exc}") from exc
 
 
 def _validate(sub: str, cfg: dict) -> None:
-    """Every resolved value against the flag table, before any work starts."""
+    """Every resolved value against the flag table, before any work starts;
+    int and float values are set to the numbers their flags would give."""
     for key, flag in _FLAGS[sub].items():
         value = cfg[key]
         if value is None and flag.default is None:
             continue
         try:
-            _check_flag(flag, value)
+            cfg[key] = _check_flag(flag, value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     _check_scales(sub, cfg)

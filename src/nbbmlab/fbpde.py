@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import waves
 from .measures import (EmpiricalMeasure, TailCdf, from_positions, quantile,
@@ -248,48 +247,37 @@ class _CrankNicolson:
     """Tridiagonal CN step for v_t = v_xx / 2 with Dirichlet ends.
 
     The matrix is factored once (LAPACK dgttrf).  A step solves (dgttrs)
-    only the rows [a - P, z + P] around the rows [a, z] where the
-    right-hand side can be nonzero, and leaves every other node 0.  From
-    node a - P on this is the full solve, bit for bit:
+    only the rows [lo, hi) and leaves every other node 0, where [a, z]
+    are the rows at which the right-hand side can be nonzero.  From node
+    lo on this is the full solve, bit for bit:
 
-    - Left of a the right-hand side is 0, so the full forward sweep is
-      exactly 0 there, and rows from a on come out the same bit for bit
-      wherever left of a the solve starts: back substitution runs right
-      to left.  It carries the data leftwards with the factor
-      rho = r / d_inf per node, d_inf = (1 + 2r + sqrt(1 + 4r)) / 2, so
-      left of a - P the full solve is within one subnormal ulp of 0.
-      These P rows, the left carry, are solved only on request: the
-      split-cut step solves from a, and again from a - P only when its cut
-      reaches left of a, since the cut reads no row left of its cell.
-    - Right of z the forward sweep is bounded by rho^k max|rhs| / (1 - rho).
-      P, worked out from max|rhs| unless z is the last interior row, is
-      the number of nodes that takes this bound below half the smallest
-      subnormal; past z + P the full solve is 0 (-0.0 where the sweep past
-      z is negative, which the step leaves +0.0).  For rho > 1/2 (r > 2)
-      the rounded sweep never reaches 0: rho times the smallest subnormal
-      rounds back up to it, so the sweep sticks at a few subnormal ulps,
-      which the division by d_inf > 1 + 1 / (1 - rho) rounds to 0.  At
-      r = 2.5, with max|rhs| of order 1, P is ~1,200 rows of such
-      subnormal arithmetic, nearly all of them past the data.
-    - So the solve first stops SHORT_END rows past z, at row e - 1, and
+    - Rows from a on are the full solve's.  Left of a the right-hand side
+      is 0, so the full forward sweep is exactly 0 there, and rows from a
+      on come out the same bit for bit wherever left of a the solve
+      starts: back substitution runs right to left.  So the solve starts
+      at a, and at 0 only with the left carry, on request: the split-cut
+      step solves from a, and again from 0 only when its cut reaches left
+      of a, since the cut reads no row left of its cell.
+    - The solve first stops SHORT_END rows past z, at row e - 1, and
       keeps that result when its last row is +0.0 and the rows from e - 1
-      on have no interchange and the diagonal d_inf, bit for bit (true
-      from a few dozen rows below the top).  That last row is y / d_inf
-      for the forward value y there, so y is +0.0 or a positive
-      subnormal that the division rounds to +0.0.  Past z the right-hand
-      side is +0.0 and the multipliers are -rho, so the full forward
-      sweep goes on with fl(rho y): never negative, never -0.0, never
-      larger (the last row's multiplier is 0).  Back substitution from
-      the last row, whose diagonal is 1, then meets x = +0.0 right of
-      every row i >= e - 1: y_i - du_i x_i+1 - du2_i x_i+2 is y_i, which
-      d_inf divides to +0.0.  Left of e - 1 the short solve runs the same
-      operations on the same values, except that at row e - 2 the full
-      solve also subtracts du2 x_e = 0 * (+0.0) = +0.0, which leaves any
-      value, -0.0 included, as it is.  So rows [lo, e) of the short solve
-      are the full solve's and every row past them is +0.0, as the step
-      leaves them.  Otherwise (the data at z lies far above the
-      subnormals, or the sweep there is negative) the step rebuilds the
-      right-hand side and solves up to z + P.
+      on have no interchange and the diagonal d_inf = (1 + 2r +
+      sqrt(1 + 4r)) / 2, bit for bit (true from a few dozen rows below
+      the top).  That last row is y / d_inf for the forward value y
+      there, so y is +0.0 or a positive subnormal that the division
+      rounds to +0.0.  Past z the right-hand side is +0.0 and the
+      multipliers are -rho, rho = r / d_inf, so the full forward sweep
+      goes on with fl(rho y): never negative, never -0.0, never larger
+      (the last row's multiplier is 0).  Back substitution from the last row, whose
+      diagonal is 1, then meets x = +0.0 right of every row i >= e - 1:
+      y_i - du_i x_i+1 - du2_i x_i+2 is y_i, which d_inf divides to +0.0.
+      Left of e - 1 the short solve runs the same operations on the same
+      values, except that at row e - 2 the full solve also subtracts
+      du2 x_e = 0 * (+0.0) = +0.0, which leaves any value, -0.0 included,
+      as it is.  So rows [lo, e) of the short solve are the full solve's
+      and every row past them is +0.0, as the step leaves them.
+    - Otherwise (the data at z lies far above the subnormals, the sweep
+      there is negative, or e is past the window's end) the step rebuilds
+      the right-hand side and solves to the window's end: the full solve.
     - The span never starts inside the top rows that dgttrf interchanges
       (rows 0-1 for r = 2.5, as d[0] = 1 < r): it starts at 0 instead, as
       it does whenever the left value is nonzero.
@@ -298,6 +286,8 @@ class _CrankNicolson:
     SHORT_END = 48
 
     def __init__(self, n: int, dx: float, dt: float, left_value: float = 0.0):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        self._dgttrs = dgttrs
         r = dt / (4.0 * dx * dx)
         self.n = n
         self.r = r
@@ -320,17 +310,6 @@ class _CrankNicolson:
         unsettled = np.flatnonzero(d[:n - 1] != d[n - 2])
         self._settled = max(self._pivoted,
                             int(unsettled[-1]) + 1 if unsettled.size else 0)
-        rho = r / (0.5 * (1.0 + 2.0 * r + math.sqrt(1.0 + 4.0 * r)))
-        self._log_rho = math.log(rho)
-        # log of (half the smallest subnormal) * (1 - rho)
-        self._log_floor = math.log(math.ulp(0.0)) - math.log(2.0) \
-            + math.log1p(-rho)
-
-    def _reach(self, m: float) -> int:
-        """P: nodes over which rho^P m / (1 - rho) falls below ulp(0) / 2."""
-        if not 0.0 < m < math.inf:
-            return self.n if m else 0
-        return int((self._log_floor - math.log(m)) / self._log_rho) + 1
 
     def _rhs(self, v: np.ndarray, a: int, z: int) -> np.ndarray:
         """The right-hand side, 0 outside the rows [a, z] and the left end."""
@@ -349,54 +328,45 @@ class _CrankNicolson:
         """Solve the rows [lo, hi) in place in rhs."""
         dl, d, du, du2, ipiv = self._lu
         ipiv = ipiv[:hi] if lo == 0 else self._unpivoted[:hi - lo]
-        _, info = dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
-                         du2[lo:hi - 2], ipiv, rhs[lo:hi], overwrite_b=True)
+        _, info = self._dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
+                               du2[lo:hi - 2], ipiv, rhs[lo:hi],
+                               overwrite_b=True)
         if info:
             raise ArithmeticError("Crank-Nicolson solve failed")
 
     def step(self, v: np.ndarray, lo: int, hi: int, carry: bool = True):
         """One step of v, which is 0 outside v[lo:hi].
 
-        Returns (x, lo, hi): the new field, 0 outside x[lo:hi].  Without
-        the left carry, x[lo:] is the full solve's and x[:lo] is left 0,
-        where the full solve need not be.
+        Returns (x, lo, hi): the new field, 0 outside x[lo:hi].  x is the
+        full solve's, bit for bit, except that without the left carry
+        x[:lo] is left 0, where the full solve need not be.
         """
         n = self.n
         # the stencil's reach, within the interior rows
         a, z = max(lo - 1, 1), min(hi + 1, n - 1)
         rhs = self._rhs(v, a, z)
-        lo = 0 if self.left_value else a
-        hi = n
-        if z < n - 1 or (carry and lo):   # P moves an end of the solve
-            mid = rhs[a:z]
-            reach = self._reach(max(mid.max(), -mid.min(),
-                                    abs(self.left_value)))
-            hi = min(z + reach, n)
-            if carry:
-                lo -= reach
-        if lo < self._pivoted:
-            lo = 0
+        lo = 0 if self.left_value or carry or a < self._pivoted else a
         end = z + self.SHORT_END
-        if self._settled < end < hi:
+        if self._settled < end < n:
             self._solve(rhs, lo, end)
             last = rhs[end - 1]
             if last == 0.0 and not np.signbit(last):
                 return rhs, lo, end
             rhs = self._rhs(v, a, z)
-        self._solve(rhs, lo, hi)
-        return rhs, lo, hi
+        self._solve(rhs, lo, n)
+        return rhs, lo, n
 
 
 def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
-                   hi: int = None, open_left: bool = False):
+                   hi: int = None):
     """Zero the density left of the point where mass to the right equals 1.
 
     Cuts u, finite and non-negative, in place and returns it with the
     sub-cell boundary and the span (lo, hi) outside which it is now 0.  The
     node just left of the boundary keeps the partial-cell value that makes
     the trapezoidal mass exactly 1.  Only u[lo:hi] is read: the density is
-    0 outside it, or, with open_left, unsolved left of lo, and then the cut
-    returns None unless the mass right of lo is at least 1.
+    0 outside it, or unsolved left of lo > 0, and then the cut returns None
+    unless the mass right of lo is at least 1.
     """
     end = u.size if hi is None else min(hi + 2, u.size)
     v = u[lo:end]            # with the zero nodes that close the span's cells
@@ -411,7 +381,7 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
     seg *= dx
     np.add.accumulate(seg, out=seg)
     mass = back[-1]
-    if mass < 1.0 and open_left:
+    if mass < 1.0 and lo > 0:
         return None
     if not mass >= 1.0 - 1e-9:
         raise ArithmeticError("scheme blowup")
@@ -490,8 +460,7 @@ class _SplitCutStepper(_Stepper):
             live = u[lo:hi]
             np.maximum(live, 0.0, out=live)
             live *= growth
-            cut = _cut_left_mass(self.grid, u, self.params.dx, lo, hi,
-                                 open_left=lo > 0 and not carry)
+            cut = _cut_left_mass(self.grid, u, self.params.dx, lo, hi)
             if cut is not None:
                 break
         self.u, self.boundary, self.span = cut

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .measures import EmpiricalMeasure, from_positions
 from .nbbm import draw_initial
@@ -147,6 +146,7 @@ def killing_time_test(samples: KilledSamples) -> KillingTimeReport:
     Censoring at t_query is handled by testing against the exponential
     law conditioned on crossing before t_query.
     """
+    from scipy import stats   # slow to import, and used only here
     obs = samples.observed_tau()
     if obs.size < 1000:
         raise ValueError("too few observed killing times")

@@ -10,11 +10,11 @@ written from e^{-(c-g)x} and (1 - e^{-2gx})/g (through expm1), using
 c^2 - g^2 = 2, so they neither overflow nor cancel as x grows or g -> 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
 
 from .measures import EmpiricalMeasure, from_positions
 
@@ -27,6 +27,13 @@ _DEGENERATE_GAP = 1e-7
 def pi_min(x):
     """Minimal-wave density 2x e^{-sqrt(2) x} for x > 0, else 0."""
     return MINIMAL_WAVE.density(x)
+
+
+@functools.cache
+def _lambertw():
+    """scipy's Lambert W, imported on first use (scipy.special is slow)."""
+    from scipy.special import lambertw
+    return lambertw
 
 
 def _on(mask, inside, outside):
@@ -108,7 +115,7 @@ class TravellingWave:
         ell = -np.log(y_arr[live])
         r = np.sqrt(2.0 * ell)
         s = np.where(r < 0.5, r + r * r / 3.0 + r ** 3 / 36.0,
-                     -1.0 - lambertw(-y_arr[live] / math.e, -1).real)
+                     -1.0 - _lambertw()(-y_arr[live] / math.e, -1).real)
         lo = ell / (c - g)
         hi = lo + (math.log((c + g) / (2.0 * g)) if g else ell + 2.0) / (c - g)
         x = np.fmin(np.fmax(s / SQRT2, lo), hi)   # W: -inf or NaN at y < 1e-308

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,6 +289,8 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["velocity", "--n", "0,1"],
     ["stationary", "--n", "8", "--burn-in", "5", "--horizon", "5.5"],
     ["stationary", "--n", "8", "--horizon", "40"],
+    # a snapshot count that overflows a float
+    ["stationary", "--horizon", "1e308", "--delta-sample", "1e-10"],
     ["killedbm", "--dt", "0"],
     ["couple", "--t", "0.5,-1"],
     ["simulate", "--t", "inf"],
@@ -473,3 +476,101 @@ def test_free_string_flags_exit_zero_or_two(case):
         name, colon, n = value.partition(":")
         assert value in ("split", "split_cut", "penalised") \
             or (name == "penalised" and int(n) >= 2)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.stats alone takes most of a second to import; the three scipy
+    # pieces are imported where they are first used, not at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(nbbmlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nbbmlab.cli; print(sorted(m for m "
+         "in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing config-file values
+# ---------------------------------------------------------------------------
+
+# every number flag but pde's grid: a valid grid is built while the run is
+# validated, so a large window or a fine dx costs memory in proportion
+CONFIG_FUZZED = {sub: sorted(
+    key for key, flag in flags.items()
+    if flag.kind in ("int", "float", "ints", "floats")
+    and (sub, key) not in {("pde", "dx"), ("pde", "dt"), ("pde", "window")})
+    for sub, flags in cli._FLAGS.items()}
+CONFIG_FUZZED = {sub: keys for sub, keys in CONFIG_FUZZED.items() if keys}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8) | st.integers().map(str) | st.floats().map(repr),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4)
+
+
+def _validated(sub, config, argv):
+    """(exit code, the configuration the run got or None, stdout, stderr)
+    of `sub` with the config file and flags; the run does no work."""
+    got = []
+
+    def handler(cfg, out):
+        got.append({key: v for key, v in cfg.items() if key != "out"})
+        return {}
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(cli._HANDLERS, {sub: handler}):
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.run([sub, "--config", str(path), *argv,
+                            "--out", str(out)])
+        assert out.exists() == (code == 0), stdout.getvalue()
+    return code, (got or [None])[0], stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("sub, config, got", [
+    # int() would truncate these, where the flag form rejects them
+    ("simulate", {"n": 3.7}, None), ("simulate", {"n": True}, None),
+    ("simulate", {"seed": 2.5}, None), ("simulate", {"t": False}, None),
+    ("simulate", {"n": 64}, {"n": 64}), ("simulate", {"n": "64"}, {"n": 64}),
+    ("simulate", {"t": 0.0}, {"t": 0.0}), ("simulate", {"t": 0}, {"t": 0.0}),
+    ("stationary", {"burn_in": None}, {"burn_in": None}),
+    ("couple", {"t": [0.5, 1]}, {"t": [0.5, 1]}),
+    ("couple", {"t": [0.5, True]}, None),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_config_numbers_read_as_their_flags(sub, config, got):
+    code, run_cfg, stdout, _ = _validated(sub, config, [])
+    assert code == (2 if got is None else 0), stdout
+    if got is not None:
+        for key, value in got.items():
+            assert run_cfg[key] == value and type(run_cfg[key]) is type(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sub=st.sampled_from(sorted(CONFIG_FUZZED)))
+def test_config_values_exit_zero_or_two(data, sub):
+    flags = cli._FLAGS[sub]
+    keys = data.draw(st.lists(st.sampled_from(CONFIG_FUZZED[sub]),
+                              min_size=1, max_size=3, unique=True))
+    config = {key: data.draw(JSON_VALUES, label=key) for key in keys}
+    code, got, stdout, stderr = _validated(sub, config, [])
+    assert code in (0, 2), stdout
+    assert "Traceback" not in stdout + stderr
+    # a number flag's value from the file is run as the same value given
+    # as the flag would be, or both are rejected
+    as_flags = {key: v for key, v in config.items()
+                if v is not None and flags[key].kind in ("int", "float")}
+    rest = {key: v for key, v in config.items() if key not in as_flags}
+    argv = [f"--{key.replace('_', '-')}={v}" for key, v in as_flags.items()]
+    assert _validated(sub, rest, argv)[:2] == (code, got)
+    if code == 0:
+        for key in config:
+            kind = {"int": int, "float": float}.get(flags[key].kind)
+            assert kind is None or got[key] is None \
+                or type(got[key]) is kind

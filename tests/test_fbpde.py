@@ -509,7 +509,7 @@ def test_span_stepper_falls_back_to_the_full_solve():
 
 def test_span_stepper_at_the_window_end_matches_full_solve():
     # pimin's density is nonzero up to the window's last interior node,
-    # so the solve runs to the window's end without working out P
+    # so the solve runs to the window's end with no short end to try
     params = SPAN_GRIDS[0]
     init = fbpde.make_initial("pimin", params)
     states = split_cut_states(init, params, contextlib.nullcontext())
@@ -555,16 +555,17 @@ def test_span_solve_short_end_keeps_or_falls_back(edge):
     short = hi + 1 + cn.SHORT_END   # z + SHORT_END
     if edge == "creeping":
         assert ends == [short] and xhi == short
-    else:   # the short solve is tried, then the solve runs on to z + P
+    else:   # the short solve is tried, then the solve runs to the end
         assert len(ends) == 2 and ends[0] == short and xhi == ends[1] > short
     ref, _, _ = FullSolveCN(n, params.dx, params.dt).step(v)
     assert x[xlo:].tobytes() == ref[xlo:].tobytes()
 
 
 @st.composite
-def creeping_edge_fields(draw, rho, n=4001):
+def creeping_edge_fields(draw, rho, n=4001, signed=False):
     """A non-negative field, 0 left of lo, of order scale on a body, then
-    decaying by rho per node until it underflows to 0 at hi."""
+    decaying by rho per node until it underflows to 0 at hi; signed, each
+    node's sign is drawn at random."""
     lo = draw(st.integers(50, n // 2))
     body = draw(st.integers(3, n // 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -575,6 +576,8 @@ def creeping_edge_fields(draw, rho, n=4001):
     v[lo:lo + body] = scale * rng.exponential(size=body)
     hi = min(lo + body + tail.size, n - 1)
     v[lo + body:hi] = tail[:hi - lo - body]
+    if signed:
+        v[lo:hi] *= rng.choice((-1.0, 1.0), size=hi - lo)
     return v, lo, hi
 
 
@@ -589,6 +592,22 @@ def test_span_solve_of_creeping_edges_matches_full_solve(params, data, carry):
     # bytes, so -0.0 and +0.0 differ
     assert x[lo:].tobytes() == ref[lo:].tobytes()
     assert not x[:lo].any() and not x[hi:].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), carry=st.booleans())
+@pytest.mark.parametrize("params", SPAN_GRIDS, ids=["r1.25", "r2.5"])
+def test_span_solve_of_signed_creeping_edges_matches_full_solve(params, data,
+                                                                carry):
+    # past a negative edge the full forward sweep stays negative; at
+    # r = 2.5 it sticks at -1 subnormal ulp, which back substitution
+    # divides to -0.0 down to the window's end: the step gives those -0.0
+    v, lo, hi = data.draw(creeping_edge_fields(decay_factor(params),
+                                               signed=True))
+    x, lo, hi = fbpde._CrankNicolson(v.size, params.dx, params.dt).step(
+        v, lo, hi, carry)
+    ref, _, _ = FullSolveCN(v.size, params.dx, params.dt).step(v)
+    assert x[lo:].tobytes() == ref[lo:].tobytes()
 
 
 def fitting_window(params, spec):
