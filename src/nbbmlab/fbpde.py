@@ -255,9 +255,9 @@ class _CrankNicolson:
       is 0, so the full forward sweep is exactly 0 there, and rows from a
       on come out the same bit for bit wherever left of a the solve
       starts: back substitution runs right to left.  So the solve starts
-      at a, and at 0 only with the left carry, on request: the split-cut
-      step solves from a, and again from 0 only when its cut reaches left
-      of a, since the cut reads no row left of its cell.
+      at a, or at 0 with the left carry, which the split-cut step asks
+      for only when its cut reaches left of a, since the cut reads no row
+      left of its cell.
     - The solve first stops SHORT_END rows past z, at row e - 1, and
       keeps that result when its last row is +0.0 and the rows from e - 1
       on have no interchange and the diagonal d_inf = (1 + 2r +
@@ -267,14 +267,15 @@ class _CrankNicolson:
       rounds to +0.0.  Past z the right-hand side is +0.0 and the
       multipliers are -rho, rho = r / d_inf, so the full forward sweep
       goes on with fl(rho y): never negative, never -0.0, never larger
-      (the last row's multiplier is 0).  Back substitution from the last row, whose
-      diagonal is 1, then meets x = +0.0 right of every row i >= e - 1:
-      y_i - du_i x_i+1 - du2_i x_i+2 is y_i, which d_inf divides to +0.0.
-      Left of e - 1 the short solve runs the same operations on the same
-      values, except that at row e - 2 the full solve also subtracts
-      du2 x_e = 0 * (+0.0) = +0.0, which leaves any value, -0.0 included,
-      as it is.  So rows [lo, e) of the short solve are the full solve's
-      and every row past them is +0.0, as the step leaves them.
+      (the last row's multiplier is 0).  Back substitution from the last
+      row, whose diagonal is 1, then meets x = +0.0 right of every row
+      i >= e - 1: y_i - du_i x_i+1 - du2_i x_i+2 is y_i, which d_inf
+      divides to +0.0.  Left of e - 1 the short solve runs the same
+      operations on the same values, except that at row e - 2 the full
+      solve also subtracts du2 x_e = 0 * (+0.0) = +0.0, which leaves any
+      value, -0.0 included, as it is.  So rows [lo, e) of the short solve
+      are the full solve's and every row past them is +0.0, as the step
+      leaves them.
     - Otherwise (the data at z lies far above the subnormals, the sweep
       there is negative, or e is past the window's end) the step rebuilds
       the right-hand side and solves to the window's end: the full solve.
