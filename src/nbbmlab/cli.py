@@ -178,7 +178,7 @@ def _parse_scheme(text):
 
 def _pde_inputs(cfg):
     """Grid parameters, initial condition, end and save times of a `pde` run;
-    OSError or ValueError on any of them that the run would reject."""
+    OSError, ValueError or MemoryError on any that the run would reject."""
     scheme, n_pen = _parse_scheme(cfg["scheme"])
     params = fbpde.FlowParams(dx=float(cfg["dx"]), dt=float(cfg["dt"]),
                               x_window=float(cfg["window"]), scheme=scheme,
@@ -535,7 +535,7 @@ def _validate(sub: str, cfg: dict) -> None:
     if build:   # the run's input files are read and its inputs built now
         try:
             build(cfg)
-        except (OSError, ValueError, IndexError) as exc:
+        except (OSError, ValueError, IndexError, MemoryError) as exc:
             raise ConfigError(f"{sub}: {exc}") from exc
 
 

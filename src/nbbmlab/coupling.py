@@ -61,8 +61,6 @@ def new_coupled(n: int, init_a, init_b, seed=None) -> CoupledPair:
     rng = np.random.default_rng(seed)
     ps_a = new_system(n, init_a, seed=rng)
     ps_b = new_system(n, init_b, seed=rng)
-    ps_a.rng = rng
-    ps_b.rng = rng
     return CoupledPair(ps_a=ps_a, ps_b=ps_b,
                        matching=monge_match(ps_a.positions, ps_b.positions),
                        rng=rng)

@@ -26,7 +26,6 @@ from . import waves
 from .measures import (EmpiricalMeasure, TailCdf, from_positions, quantile,
                        wasserstein_w)
 
-SQRT2 = math.sqrt(2.0)
 WINDOW_TAIL_TOL = 1e-10
 
 
@@ -127,7 +126,7 @@ class CdfTrajectory:
 def make_initial(spec, params: FlowParams):
     """Normalise an initial-condition spec.
 
-    Accepts a Profile, a TailCdf, a TravellingWave, ("delta", a),
+    Accepts a Profile, a TailCdf, ("delta", a),
     ("exp", lam), or the strings "heaviside" / "delta" / "pimin" /
     "pic:<c>" / "exp:<lam>".  Returns a Profile, or ("delta", a) which the
     stepper warm-starts itself.
@@ -155,8 +154,6 @@ def make_initial(spec, params: FlowParams):
         if kind == "exp":
             return _exp_profile(float(spec[1]), params)
         raise ValueError(f"unknown initial condition {spec!r}")
-    if isinstance(spec, waves.TravellingWave):
-        return _wave_profile(spec, params)
     if isinstance(spec, TailCdf):
         return _profile_from_tail(spec, params)
     raise ValueError(f"unknown initial condition {spec!r}")
@@ -435,6 +432,9 @@ class _Stepper:
     def _solver(self, dt: float):
         """(CN solver, e^dt) for steps of dt; looked up only when dt changes."""
         if dt != self._last[0]:
+            # a step within round-off of params.dt reuses its factorisation:
+            # conjecture_experiment(2.0, 2.0) takes two ~3e-13 short, and
+            # its README artefacts carry the bits that gives
             key = round(dt / self.params.dt, 12)
             if key not in self._cn:
                 self._cn[key] = _CrankNicolson(self.grid.size, self.params.dx,
@@ -446,10 +446,13 @@ class _Stepper:
 class _SplitCutStepper(_Stepper):
     """Split-cut scheme; the density is 0 outside u[span[0]:span[1]]."""
 
-    def __init__(self, prof: Profile, params: FlowParams):
-        super().__init__(prof.grid.copy(), prof.t, params)
+    def __init__(self, u0, params: FlowParams):
+        init = make_initial(u0, params)
+        if isinstance(init, tuple):
+            init = _warm_start(init[1], params)
+        super().__init__(init.grid, init.t, params)
         self.u, self.boundary, self.span = _cut_left_mass(
-            self.grid, prof.u.copy(), params.dx)
+            self.grid, init.u, params.dx)
 
     def step(self, dt: float) -> None:
         # solve without the left carry first: the cut reads no row left of
@@ -499,11 +502,8 @@ class _SplitCutStepper(_Stepper):
 def start_time(u0, params: FlowParams) -> float:
     """When solve_cdf starts from u0: later than 0 for a point mass under
     split-cut, which starts as its heat kernel.  ValueError on a bad spec."""
-    if isinstance(u0, TailCdf) and params.scheme == "penalised":
-        return 0.0   # the penalised flow uses a tail as it is
-    init = make_initial(u0, params)
-    warm = isinstance(init, tuple) and params.scheme == "split_cut"
-    return _warm_start(init[1], params).t if warm else 0.0
+    split = params.scheme == "split_cut"
+    return (_SplitCutStepper if split else _PenalisedStepper)(u0, params).t
 
 
 def _warm_start(centre: float, params: FlowParams) -> Profile:
@@ -549,10 +549,7 @@ def _run(stepper: _Stepper, t_end: float, save_times):
 def solve_density(u0, t_end: float, params: FlowParams,
                   save_times=()) -> Trajectory:
     """Run the split-cut scheme to t_end, saving profiles at save_times."""
-    init = make_initial(u0, params)
-    if isinstance(init, tuple):
-        init = _warm_start(init[1], params)
-    profiles, _, times, boundary = _run(_SplitCutStepper(init, params),
+    profiles, _, times, boundary = _run(_SplitCutStepper(u0, params),
                                         t_end, save_times)
     return Trajectory(profiles, times, boundary, params)
 

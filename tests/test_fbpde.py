@@ -492,7 +492,7 @@ def test_span_stepper_falls_back_to_the_full_solve():
     # stencil's left row, so the cut needs the left carry and the step
     # solves again with it
     params = SPAN_GRIDS[1]
-    init = fbpde._warm_start(0.0, params)
+    init = ("delta", 0.0)
     carries = []
     cn_step = fbpde._CrankNicolson.step
 
@@ -505,6 +505,17 @@ def test_span_stepper_falls_back_to_the_full_solve():
     assert carries.count(True) >= 1
     assert states == split_cut_states(
         init, params, mock.patch.object(fbpde, "_CrankNicolson", FullSolveCN))
+
+
+def test_cn_solver_reused_within_round_off_of_dt():
+    # conjecture_experiment(2.0, 2.0) ends two saves with steps ~3e-13 short
+    # of dt; they reuse dt's factorisation, each with its own growth factor
+    split = fbpde._SplitCutStepper("pimin", COARSE)
+    cn, _ = split._solver(COARSE.dt)
+    near = COARSE.dt * (1.0 - 3e-13)
+    assert split._solver(near) == (cn, math.exp(near))
+    assert split._solver(0.9 * COARSE.dt)[0] is not cn
+    assert split._solver(COARSE.dt)[0] is cn
 
 
 def test_span_stepper_at_the_window_end_matches_full_solve():

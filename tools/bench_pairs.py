@@ -2,6 +2,8 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_k.json \\
         [--pairs 10] [--jobs WORKLOAD:SEED[:PAIRS] ...] [--trace 0|1]
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_k.json \\
+        --jobs lazy4096:5:3 lazy65536:5:3
 
 PARENT and CHANGE are each a directory holding a checkout of the
 repository, or a git revision of this repository, which the script
@@ -16,13 +18,22 @@ and pair, with T the ``run_seconds`` of BENCHMARK.json, for PAIRS pairs
 parent first when i is even and the change first when it is odd, so a
 drift of the machine's speed falls on both sides alike.
 
+A job named ``lazy<N>`` times the lazy N-BBM loop instead, in a fresh
+interpreter that imports the checkout's own ``src/``: N particles start
+from pimin with the job's seed, ``advance_to`` calls of 0.5 time units
+run to time 1, and then as many further 0.5-long calls as give about
+2^16 events are timed (wall clock, by ``time.perf_counter``).  Its
+metrics are the microseconds per event, the events timed, and the
+promotions and bridge draws per event; it has no correctness check, and
+--trace does not change it.
+
 With --trace 0 it summarises the end-to-end metrics of BENCHMARK.json,
 with --trace 1 the per-layer ones.  For each metric and side it reports
 the median and the quartiles over the pairs, and how many pairs the change
 won (strictly better in the metric's direction).  The output also records
-each run's raw metrics and failures, and the machine: CPU count, the
-python/numpy/scipy versions and NBBM_THREADS (bench/run.py itself sizes
-the replica pool to at most two workers).
+each run's raw metrics, failures and correctness, and the machine: CPU
+count, processor, the python/numpy/scipy versions and NBBM_THREADS
+(bench/run.py itself sizes the replica pool to at most two workers).
 """
 
 import argparse
@@ -38,11 +49,48 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+# the lazy loop's timing, as a lazy<N> job runs it with argv N SEED
+LAZY_CHILD = """
+import json, sys, time
+sys.path.insert(0, "src")
+from nbbmlab import nbbm
+n, seed = int(sys.argv[1]), int(sys.argv[2])
+span, warm = 0.5, 1.0   # time units per advance_to call, and before timing
+calls = max(1, round(2 ** 16 / ((n - 1) * span)))   # about 2^16 events
+ps = nbbm.new_system(n, "pimin", seed=seed)
+while ps.time < warm:
+    nbbm.advance_to(ps, ps.time + span)
+e0, p0, b0 = ps.n_events, ps.promotions, ps.bridge_draws
+t0 = time.perf_counter()
+for _ in range(calls):
+    nbbm.advance_to(ps, ps.time + span)
+wall = time.perf_counter() - t0
+events = ps.n_events - e0
+metrics = {"us_per_event": 1e6 * wall / events, "events": events,
+           "promotions_per_event": (ps.promotions - p0) / events,
+           "bridge_draws_per_event": (ps.bridge_draws - b0) / events}
+print(json.dumps({"failed": 0,
+                  "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+"""
+LAZY_METRICS = [
+    {"name": "us_per_event", "unit": "us", "better": "lower"},
+    {"name": "events", "unit": "count", "better": "lower"},
+    {"name": "promotions_per_event", "unit": "count", "better": "lower"},
+    {"name": "bridge_draws_per_event", "unit": "count", "better": "lower"}]
+
+
+def _job(workload: str, seed: int, spec: dict, trace: int):
+    """The command a job runs in each checkout, and the metrics it reports."""
+    n = workload.removeprefix("lazy")
+    if n != workload and n.isdigit():
+        return [sys.executable, "-c", LAZY_CHILD, n, str(seed)], LAZY_METRICS
+    return ([sys.executable, "bench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
+             "--trace", str(trace)],
+            spec["per_layer" if trace else "end_to_end"])
+
+
+def _run(checkout: Path, cmd: list) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -108,6 +156,7 @@ def _environment() -> dict:
     return {"cpus": os.cpu_count(),
             "cpus_usable": len(os.sched_getaffinity(0)),
             "machine": platform.machine(),
+            "processor": platform.processor(),
             "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "NBBM_THREADS": os.environ.get("NBBM_THREADS")}
@@ -115,26 +164,27 @@ def _environment() -> dict:
 
 def _pairs(args, spec: dict, sides: dict) -> list:
     """Every job's paired runs of the two checkouts, summarised."""
-    metrics = spec["per_layer" if args.trace else "end_to_end"]
-    seconds = spec["run_seconds"]
     results = []
     for job in args.jobs:
         workload, seed, *pairs = job.split(":")
         pairs = int(pairs[0]) if pairs else args.pairs
+        cmd, metrics = _job(workload, int(seed), spec, args.trace)
         runs = {"parent": [], "change": []}
         for i in range(pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run(sides[side], workload, int(seed),
-                                       seconds, args.trace))
+                runs[side].append(_run(sides[side], cmd))
             print(f"{job}: pair {i + 1}/{pairs} done", file=sys.stderr,
                   flush=True)
-        results.append({
+        record = {
             "workload": workload, "seed": int(seed), "pairs": pairs,
             "metrics": _summary(metrics, runs["parent"], runs["change"]),
-            "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
             "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
-            "runs": {s: [r["metrics"] for r in runs[s]] for s in runs}})
+            "runs": {s: [r["metrics"] for r in runs[s]] for s in runs}}
+        if "correct" in runs["parent"][0]:   # a lazy job checks nothing
+            record["correct"] = {s: [r["correct"] for r in runs[s]]
+                                 for s in runs}
+        results.append(record)
     return results
 
 
