@@ -243,74 +243,67 @@ def dilate_tail(u0: TailCdf, factor: float) -> TailCdf:
 class _CrankNicolson:
     """Tridiagonal CN step for v_t = v_xx / 2 with Dirichlet ends.
 
-    The matrix is factored once (LAPACK dgttrf).  A step solves (dgttrs)
-    only the rows [lo, hi) and leaves every other node 0, where [a, z]
-    are the rows at which the right-hand side can be nonzero.  From node
-    lo on this is the full solve, bit for bit:
+    The end values are fixed (left_value on the left, 0 on the right), so
+    only the interior rows 1 ... n - 2 are solved, with the left value
+    folded into row 1's right-hand side.  Their matrix is symmetric and
+    strictly diagonally dominant (diagonal 1 + 2r, off-diagonal -r), so it
+    is factored once as L D L^T without pivoting (LAPACK dpttrf).  A step
+    solves (dpttrs: y_i = b_i - y_i-1 e_i-1 down, then x_i = y_i / d_i -
+    x_i+1 e_i up, with e_i = -r / d_i) only the rows [lo, hi) and leaves
+    every other node 0, where [a, z] are the rows at which the right-hand
+    side can be nonzero.  From node lo on this is the full solve of every
+    interior row, bit for bit:
 
     - Rows from a on are the full solve's.  Left of a the right-hand side
-      is 0, so the full forward sweep is exactly 0 there, and rows from a
-      on come out the same bit for bit wherever left of a the solve
-      starts: back substitution runs right to left.  So the solve starts
-      at a, or at 0 with the left carry, which the split-cut step asks
-      for only when its cut reaches left of a, since the cut reads no row
-      left of its cell.
-    - The solve first stops SHORT_END rows past z, at row e - 1, and
-      keeps that result when its last row is +0.0 and the rows from e - 1
-      on have no interchange and the diagonal d_inf = (1 + 2r +
-      sqrt(1 + 4r)) / 2, bit for bit (true from a few dozen rows below
-      the top).  That last row is y / d_inf for the forward value y
-      there, so y is +0.0 or a positive subnormal that the division
-      rounds to +0.0.  Past z the right-hand side is +0.0 and the
-      multipliers are -rho, rho = r / d_inf, so the full forward sweep
-      goes on with fl(rho y): never negative, never -0.0, never larger
-      (the last row's multiplier is 0).  Back substitution from the last
-      row, whose diagonal is 1, then meets x = +0.0 right of every row
-      i >= e - 1: y_i - du_i x_i+1 - du2_i x_i+2 is y_i, which d_inf
-      divides to +0.0.  Left of e - 1 the short solve runs the same
-      operations on the same values, except that at row e - 2 the full
-      solve also subtracts du2 x_e = 0 * (+0.0) = +0.0, which leaves any
-      value, -0.0 included, as it is.  So rows [lo, e) of the short solve
-      are the full solve's and every row past them is +0.0, as the step
-      leaves them.
+      is +0.0, so the full forward sweep is +0.0 - (+0.0) e = +0.0 there,
+      and rows from a on come out the same bit for bit wherever left of a
+      the solve starts: back substitution runs right to left.  So the
+      solve starts at a, or at row 1 with the left carry, which the
+      split-cut step asks for only when its cut reaches left of a, since
+      the cut reads no row left of its cell.
+    - The solve first stops SHORT_END rows past z, at row end - 1, and
+      keeps that result when its last row is +0.0 and d_i has settled to
+      d_inf = (1 + 2r + sqrt(1 + 4r)) / 2 bit for bit from row end - 1 on
+      (true from a few dozen rows below the top).  That last row is
+      y / d_inf for the forward value y there, so y is +0.0 or a positive
+      subnormal that the division rounds to +0.0.  Past z the right-hand
+      side is +0.0 and e_i = -rho, rho = r / d_inf, so the full forward
+      sweep goes on with fl(rho y): never negative, never -0.0, never
+      larger, and each such row divides to +0.0 too.  Back substitution
+      then gives +0.0 - (+0.0)(-rho) = +0.0 from the last interior row
+      down to row end - 1, which is the short solve's +0.0 there, and left
+      of it both solves run the same operations on the same values.  So
+      rows [lo, end) of the short solve are the full solve's and every row
+      past them is +0.0, as the step leaves them.
     - Otherwise (the data at z lies far above the subnormals, the sweep
-      there is negative, or e is past the window's end) the step rebuilds
-      the right-hand side and solves to the window's end: the full solve.
-    - The span never starts inside the top rows that dgttrf interchanges
-      (rows 0-1 for r = 2.5, as d[0] = 1 < r): it starts at 0 instead, as
-      it does whenever the left value is nonzero.
+      there is negative, or end is past the last interior row) the step
+      rebuilds the right-hand side and solves to the window's end: the
+      full solve.
     """
 
     SHORT_END = 48
 
     def __init__(self, n: int, dx: float, dt: float, left_value: float = 0.0):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        self._dgttrs = dgttrs
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        self._dpttrs = dpttrs
         r = dt / (4.0 * dx * dx)
         self.n = n
         self.r = r
         self.left_value = left_value
-        diag = np.full(n, 1.0 + 2.0 * r)
-        diag[0] = diag[-1] = 1.0
-        lower = np.full(n - 1, -r)
-        upper = np.full(n - 1, -r)
-        lower[-1] = upper[0] = 0.0
-        *self._lu, info = dgttrf(lower, diag, upper)
+        # the wrapper rejects an empty e: a single interior row factors
+        # with an unused e, and a one-row solve passes the entry appended
+        d, e, info = dpttrf(np.full(n - 2, 1.0 + 2.0 * r),
+                            np.full(max(n - 3, 1), -r))
         if info:
             raise ArithmeticError("singular Crank-Nicolson matrix")
-        # 1-based row interchanges: rows from _pivoted on have none
-        self._unpivoted = np.arange(1, n + 1, dtype=self._lu[4].dtype)
-        pivoted = np.flatnonzero(self._lu[4] != self._unpivoted)
-        self._pivoted = int(pivoted[-1]) + 1 if pivoted.size else 0
-        # rows from _settled on, bar the last, have no interchange and the
-        # diagonal d_inf of the interior rows, bit for bit
-        d = self._lu[1]
-        unsettled = np.flatnonzero(d[:n - 1] != d[n - 2])
-        self._settled = max(self._pivoted,
-                            int(unsettled[-1]) + 1 if unsettled.size else 0)
+        # d[i - 1] and e[i - 1] belong to row i
+        self._d, self._e = d, np.append(e, 0.0)
+        # rows from _settled on have d_inf, bit for bit
+        unsettled = np.flatnonzero(d != d[-1])
+        self._settled = int(unsettled[-1]) + 2 if unsettled.size else 1
 
     def _rhs(self, v: np.ndarray, a: int, z: int) -> np.ndarray:
-        """The right-hand side, 0 outside the rows [a, z] and the left end."""
+        """The right-hand side, 0 outside the rows [a, z) and the ends."""
         rhs = np.zeros(self.n)
         rhs[0] = self.left_value
         # v + r (v_left - 2 v + v_right), evaluated in place in that order
@@ -320,14 +313,15 @@ class _CrankNicolson:
         mid += v[a + 1:z + 1]
         mid *= self.r
         mid += v[a:z]
+        if self.left_value:
+            rhs[1] += self.r * self.left_value
         return rhs
 
     def _solve(self, rhs: np.ndarray, lo: int, hi: int) -> None:
-        """Solve the rows [lo, hi) in place in rhs."""
-        dl, d, du, du2, ipiv = self._lu
-        ipiv = ipiv[:hi] if lo == 0 else self._unpivoted[:hi - lo]
-        _, info = self._dgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1],
-                               du2[lo:hi - 2], ipiv, rhs[lo:hi],
+        """Solve the interior rows [max(lo, 1), hi) in place in rhs."""
+        lo = max(lo, 1)
+        _, info = self._dpttrs(self._d[lo - 1:hi - 1],
+                               self._e[lo - 1:max(hi - 2, lo)], rhs[lo:hi],
                                overwrite_b=True)
         if info:
             raise ArithmeticError("Crank-Nicolson solve failed")
@@ -343,15 +337,15 @@ class _CrankNicolson:
         # the stencil's reach, within the interior rows
         a, z = max(lo - 1, 1), min(hi + 1, n - 1)
         rhs = self._rhs(v, a, z)
-        lo = 0 if self.left_value or carry or a < self._pivoted else a
+        lo = 0 if self.left_value or carry else a
         end = z + self.SHORT_END
-        if self._settled < end < n:
+        if self._settled < end < n - 1:
             self._solve(rhs, lo, end)
             last = rhs[end - 1]
             if last == 0.0 and not np.signbit(last):
                 return rhs, lo, end
             rhs = self._rhs(v, a, z)
-        self._solve(rhs, lo, n)
+        self._solve(rhs, lo, n - 1)
         return rhs, lo, n
 
 
@@ -510,6 +504,8 @@ def _warm_start(centre: float, params: FlowParams) -> Profile:
     """Exact grown heat kernel at a small positive time, in place of a spike."""
     t0 = max(4.0 * params.dt, (2.5 * params.dx) ** 2)
     grid = _window_grid(centre - max(2.0, 0.1 * params.x_window), params)
+    _check_window_tail(0.5 * math.erfc((grid[-1] - centre)
+                                       / math.sqrt(2.0 * t0)))
     u = math.exp(t0) * np.exp(-((grid - centre) ** 2) / (2.0 * t0)) \
         / math.sqrt(2.0 * math.pi * t0)
     return Profile(grid, u, centre, t0)

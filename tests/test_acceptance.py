@@ -198,6 +198,29 @@ def test_criterion_05b_heaviside_boundary_speed_window(heaviside_run):
     assert ok, ratio
 
 
+def test_criterion_05b_companion_bramson_log_delay(heaviside_run):
+    # Bramson (1983): L_t = sqrt2 t - (3 / (2 sqrt2)) ln t + const + o(1),
+    # so D(t) below settles with shrinking increments; Ebert & van Saarloos
+    # (2000) bound what is left by the integrated t^(-3/2) velocity term
+    # 3 sqrt(pi) / (lam*^2 sqrt(D)) (t1^(-1/2) - t2^(-1/2)), lam* = sqrt2
+    # and D = 1/2, plus 5 dx for the scheme
+    ts = [5.0, 7.5, 10.0, 12.5, 15.0]
+    delay = [heaviside_run.boundary_at(t) - SQRT2 * t
+             + 3.0 / (2.0 * SQRT2) * math.log(t) for t in ts]
+    steps = np.diff(delay)
+    bound = [3.0 * math.sqrt(math.pi) / (2.0 * math.sqrt(0.5))
+             * (t1 ** -0.5 - t2 ** -0.5) + 5.0 * heaviside_run.params.dx
+             for t1, t2 in zip(ts, ts[1:])]
+    ok = bool(np.all(steps > 0.0) and np.all(np.diff(steps) < 0.0)
+              and np.all(steps < bound))
+    print(f"[criterion 5b companion] Bramson log delay settles: "
+          f"{'PASS' if ok else 'FAIL'} (increments "
+          f"{', '.join(f'{s:.3f}' for s in steps)})")
+    assert np.all(steps > 0.0), steps
+    assert np.all(np.diff(steps) < 0.0), steps
+    assert np.all(steps < bound), (steps, bound)
+
+
 # ---------------------------------------------------------------------------
 # 6. stretching order and boundary comparison on a fixed battery
 # ---------------------------------------------------------------------------

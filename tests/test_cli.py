@@ -311,6 +311,8 @@ def test_unknown_init_exits_two_before_work(tmp_path, capsys, run, spec):
     ["pde", "--dt", "0.02", "--dx", "0.01"],
     # a grid of 1e14 nodes, which no machine allocates
     ["pde", "--window", "1e12"],
+    # a window whose right end cuts the warm-started point mass
+    ["pde", "--init", "heaviside", "--window", "2"],
     ["wave", "--c", "1.0"],
     ["wave", "--c", "1.3"],
     ["killedbm", "--boundary", "no/such/boundary.csv"],

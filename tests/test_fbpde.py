@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from nbbmlab import fbpde, waves
 from nbbmlab.measures import quantile
@@ -385,7 +385,34 @@ def test_run_takes_no_round_off_step():
 
 
 class FullSolveCN:
-    """The Crank-Nicolson step as one banded solve over the whole window."""
+    """The Crank-Nicolson step as one L D L^T solve (LAPACK ptsv) of the
+    interior rows, with the left value folded into row 1."""
+
+    def __init__(self, n, dx, dt, left_value=0.0):
+        r = dt / (4.0 * dx * dx)
+        self.r = r
+        self.left_value = left_value
+        ab = np.empty((2, n - 2))   # upper form: ab[0, 1:] is off the diagonal
+        ab[0] = -r
+        ab[1] = 1.0 + 2.0 * r
+        self.ab = ab
+
+    def step(self, v, lo=0, hi=None, carry=True):
+        x = np.zeros_like(v)
+        x[0] = self.left_value
+        rhs = v[1:-1] + self.r * (v[:-2] - 2.0 * v[1:-1] + v[2:])
+        if self.left_value:
+            rhs[0] += self.r * self.left_value
+        # solveh_banded takes at least two rows; ptsv scales a single one
+        # by 1 / d
+        x[1:-1] = solveh_banded(self.ab, rhs) if rhs.size > 1 \
+            else rhs * (1.0 / self.ab[1])
+        return x, 0, v.size
+
+
+class PivotedFullSolveCN:
+    """The Crank-Nicolson step as one LU solve with partial pivoting
+    (LAPACK gbsv) over the whole window, Dirichlet rows included."""
 
     def __init__(self, n, dx, dt, left_value=0.0):
         r = dt / (4.0 * dx * dx)
@@ -567,7 +594,7 @@ def test_span_solve_short_end_keeps_or_falls_back(edge):
     if edge == "creeping":
         assert ends == [short] and xhi == short
     else:   # the short solve is tried, then the solve runs to the end
-        assert len(ends) == 2 and ends[0] == short and xhi == ends[1] > short
+        assert ends == [short, n - 1] and xhi == n
     ref, _, _ = FullSolveCN(n, params.dx, params.dt).step(v)
     assert x[xlo:].tobytes() == ref[xlo:].tobytes()
 
@@ -619,6 +646,39 @@ def test_span_solve_of_signed_creeping_edges_matches_full_solve(params, data,
         v, lo, hi, carry)
     ref, _, _ = FullSolveCN(v.size, params.dx, params.dt).step(v)
     assert x[lo:].tobytes() == ref[lo:].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=zero_padded_fields(), left_value=st.sampled_from([0.0, 1.0]),
+       carry=st.booleans())
+@pytest.mark.parametrize("params", SPAN_GRIDS, ids=["r1.25", "r2.5"])
+def test_span_solve_is_the_pivoted_lu_solve_to_round_off(params, field,
+                                                         left_value, carry):
+    # L D L^T of the interior rows against LU with partial pivoting over
+    # the whole window: the same system, so the same solution to round-off
+    v, lo, hi = field
+    x, lo, hi = fbpde._CrankNicolson(v.size, params.dx, params.dt,
+                                     left_value).step(v, lo, hi, carry)
+    ref, _, _ = PivotedFullSolveCN(v.size, params.dx, params.dt,
+                                   left_value).step(v)
+    assert np.all(np.abs(x[lo:] - ref[lo:]) <= 1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("left_value", [0.0, 1.0])
+@pytest.mark.parametrize("carry", [False, True])
+@pytest.mark.parametrize("n", [3, 4])
+def test_tiny_window_solves(n, carry, left_value):
+    # one or two interior rows, each row a solve of its own
+    rng = np.random.default_rng(n)
+    cn = fbpde._CrankNicolson(n, 0.01, 5e-4, left_value)
+    for lo, hi in [(0, n)] + [(k, k + 1) for k in range(1, n - 1)]:
+        v = np.zeros(n)
+        v[lo:hi] = rng.exponential(size=hi - lo)
+        x, xlo, xhi = cn.step(v, lo, hi, carry)
+        ref, _, _ = FullSolveCN(n, 0.01, 5e-4, left_value).step(v)
+        assert x[xlo:].tobytes() == ref[xlo:].tobytes()
+        lu, _, _ = PivotedFullSolveCN(n, 0.01, 5e-4, left_value).step(v)
+        assert np.all(np.abs(x[xlo:] - lu[xlo:]) <= 1e-13 * np.abs(lu).max())
 
 
 def fitting_window(params, spec):
