@@ -260,7 +260,9 @@ class _CrankNicolson:
       the solve starts: back substitution runs right to left.  So the
       solve starts at a, or at row 1 with the left carry, which the
       split-cut step asks for only when its cut reaches left of a, since
-      the cut reads no row left of its cell.
+      the cut reads no row left of its cell.  It starts a row early when a
+      is the last interior row, as dpttrs scales a lone row by 1 / d
+      where the full solve divides by d.
     - The solve first stops SHORT_END rows past z, at row end - 1, and
       keeps that result when its last row is +0.0 and d_i has settled to
       d_inf = (1 + 2r + sqrt(1 + 4r)) / 2 bit for bit from row end - 1 on
@@ -290,20 +292,21 @@ class _CrankNicolson:
         self.n = n
         self.r = r
         self.left_value = left_value
-        # the wrapper rejects an empty e: a single interior row factors
-        # with an unused e, and a one-row solve passes the entry appended
+        # the wrapper rejects an empty e: the one interior row of a 3-node
+        # grid factors and solves with one unused entry
         d, e, info = dpttrf(np.full(n - 2, 1.0 + 2.0 * r),
                             np.full(max(n - 3, 1), -r))
         if info:
             raise ArithmeticError("singular Crank-Nicolson matrix")
         # d[i - 1] and e[i - 1] belong to row i
-        self._d, self._e = d, np.append(e, 0.0)
+        self._d, self._e = d, e
         # rows from _settled on have d_inf, bit for bit
         unsettled = np.flatnonzero(d != d[-1])
         self._settled = int(unsettled[-1]) + 2 if unsettled.size else 1
 
     def _rhs(self, v: np.ndarray, a: int, z: int) -> np.ndarray:
-        """The right-hand side, 0 outside the rows [a, z) and the ends."""
+        """The right-hand side: 0 outside the rows [a, z), but for the left
+        value at row 0 and folded into row 1."""
         rhs = np.zeros(self.n)
         rhs[0] = self.left_value
         # v + r (v_left - 2 v + v_right), evaluated in place in that order
@@ -337,7 +340,7 @@ class _CrankNicolson:
         # the stencil's reach, within the interior rows
         a, z = max(lo - 1, 1), min(hi + 1, n - 1)
         rhs = self._rhs(v, a, z)
-        lo = 0 if self.left_value or carry else a
+        lo = 0 if self.left_value or carry else min(a, n - 3)
         end = z + self.SHORT_END
         if self._settled < end < n - 1:
             self._solve(rhs, lo, end)
