@@ -136,6 +136,8 @@ def make_initial(spec, params: FlowParams):
             raise ValueError("profile density must be finite and >= 0")
         if not np.allclose(np.diff(spec.grid), params.dx, rtol=1e-9, atol=0.0):
             raise ValueError("profile grid must be uniform with spacing dx")
+        if spec.u.size < 3:
+            raise ValueError("profile grid needs at least 3 nodes")
         return Profile(spec.grid.copy(), spec.u.copy(), spec.boundary, 0.0)
     if isinstance(spec, str):
         if spec in ("heaviside", "delta"):
@@ -286,6 +288,8 @@ class _CrankNicolson:
     SHORT_END = 48
 
     def __init__(self, n: int, dx: float, dt: float, left_value: float = 0.0):
+        if n < 3:
+            raise ValueError("the grid needs at least 3 nodes")
         from scipy.linalg.lapack import dpttrf, dpttrs
         self._dpttrs = dpttrs
         r = dt / (4.0 * dx * dx)
@@ -361,56 +365,52 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
     node just left of the boundary keeps the partial-cell value that makes
     the trapezoidal mass exactly 1.  Only u[lo:hi] is read: the density is
     0 outside it, or unsolved left of lo > 0, and then the cut returns None
-    unless the mass right of lo is at least 1.
+    unless the mass right of lo is at least 1.  The mass right of the cut
+    cell is summed from it to the last nonzero node: its bits do not depend
+    on how far left the solve ran or on the zeros past the end.
     """
     end = u.size if hi is None else min(hi + 2, u.size)
     v = u[lo:end]            # with the zero nodes that close the span's cells
-    # back[k]: mass right of node v.size - 1 - k, summed right to left from
-    # the segments 0.5 (v_k + v_k+1) dx; it never decreases, as the
-    # segments are non-negative
-    back = np.empty(v.size)
-    back[0] = 0.0
-    seg = back[1:]
-    np.add(v[:0:-1], v[-2::-1], out=seg)
-    seg *= 0.5
-    seg *= dx
-    np.add.accumulate(seg, out=seg)
-    mass = back[-1]
+    # the last nonzero node, a few dozen zeros back after a short solve
+    back = max(v.size - 64, 0)
+    nz = v[back:].nonzero()[0]
+    if not nz.size:
+        back, nz = 0, np.append(0, v.nonzero()[0])
+    last = back + int(nz[-1])
+    mass = dx * (float(v[:last + 1].sum()) - 0.5 * float(v[0] + v[-1]))
     if mass < 1.0 and lo > 0:
         return None
-    if not mass >= 1.0 - 1e-9:
+    if not 1.0 - 1e-9 <= mass < math.inf:   # NaN and inf fail too
         raise ArithmeticError("scheme blowup")
-    # the last nonzero segment's left node; the zero segments right of it
-    # can hide only subnormal nodes
-    last = v.size - 1 - int(back.searchsorted(0.0, side="right"))
     if mass < 1.0:  # round-off shy of 1: rescale within the guard
         v /= mass
-        back /= mass
-    k = int(back.searchsorted(1.0))
-    j = v.size - 1 - k       # the last node with mass >= 1 right of it
-    vj, b, tail = float(v[j]), float(v[j + 1]), float(back[k - 1])
-    # boundary inside cell [g_j, g_{j+1}]: with linear u the tail is
-    # quadratic in the distance s back from g_{j+1}
-    a = 0.5 * (vj - b) / dx
-    c = tail - 1.0
-    if abs(a) < 1e-14 * max(b, 1.0):
-        s = -c / b if b > 0 else dx
-    else:
-        disc = max(b * b - 4.0 * a * c, 0.0)
-        s = 2.0 * (-c) / (b + math.sqrt(disc))
-    s = min(max(s, 0.0), dx)
-    boundary = float(grid[lo + j + 1]) - s
+    # j: the last node with mass >= 1 right of it, found from the left, as a
+    # step's cut lies a few nodes right of lo
+    excess, left = max(mass - 1.0, 0.0), 0.0
+    head = v[:9].tolist()
+    for j in range(len(head) - 1):
+        left += 0.5 * (head[j] + head[j + 1]) * dx
+        if left > excess:
+            break
+    else:   # not within the first 8 cells
+        j = int(np.cumsum((v[:-1] + v[1:]) * (0.5 * dx)).searchsorted(
+            excess, side="right"))
+    vj, b = float(v[j]), float(v[j + 1])
+    # e: the mass right of node j beyond 1; at unit mass nothing is cut
+    e = dx * (float(v[j:last + 1].sum()) - 0.5 * float(vj + v[-1])) - 1.0 \
+        if excess > 0.0 else 0.0
+    # the boundary lies t into the cell, where the linear density's mass
+    # from g_j is e: vj t + (b - vj) t^2 / (2 dx) = e
+    den = vj + math.sqrt(max(vj * vj + 2.0 * (b - vj) * e / dx, 0.0))
+    t = min(max(2.0 * e / den, 0.0), dx) if den > 0.0 else 0.0
+    boundary = float(grid[lo + j]) + t
     # node j keeps the value that makes the trapezoidal mass exactly 1,
-    # counting the half-cell on its left: dx*w + dx*u[j+1]/2 + tail[j+1] = 1
-    w = (1.0 - tail) / dx - 0.5 * b
-    v[:j] = 0.0
-    if w >= 0.0:
-        v[j], first = w, j
-    else:
-        v[j] = 0.0
-        v[j + 1] = (1.0 - back[k - 2]) / dx - 0.5 * v[j + 2]
-        first = j + 1
-    last += int(v[last:].nonzero()[0][-1])
+    # counting the half-cell on its left (the grid's first node has none);
+    # below 0, node j + 1 takes the rest
+    w = 0.5 * vj - e / dx
+    first = j if w >= 0.0 else j + 1
+    v[:first] = 0.0
+    v[first] = (w if lo + j else 2.0 * w) if first == j else b + w
     return u, boundary, (lo + first, lo + last + 1)
 
 

@@ -64,6 +64,170 @@ def test_cut_left_mass_mechanics():
         fbpde._cut_left_mass(grid, 0.5 * u, 0.01)
 
 
+def right_to_left_cut(grid, u, dx, lo=0, hi=None):
+    """The left-mass cut summed right to left over the whole span: the
+    mass right of every node, then a search for the first to reach 1."""
+    end = u.size if hi is None else min(hi + 2, u.size)
+    v = u[lo:end]
+    back = np.empty(v.size)   # back[k]: mass right of node v.size - 1 - k
+    back[0] = 0.0
+    seg = back[1:]
+    np.add(v[:0:-1], v[-2::-1], out=seg)
+    seg *= 0.5
+    seg *= dx
+    np.add.accumulate(seg, out=seg)
+    mass = back[-1]
+    if mass < 1.0 and lo > 0:
+        return None
+    if not mass >= 1.0 - 1e-9:
+        raise ArithmeticError("scheme blowup")
+    last = v.size - 1 - int(back.searchsorted(0.0, side="right"))
+    if mass < 1.0:
+        v /= mass
+        back /= mass
+    k = int(back.searchsorted(1.0))
+    j = v.size - 1 - k
+    vj, b, tail = float(v[j]), float(v[j + 1]), float(back[k - 1])
+    # the tail is quadratic in the distance s back from g_{j+1}
+    a = 0.5 * (vj - b) / dx
+    c = tail - 1.0
+    if abs(a) < 1e-14 * max(b, 1.0):
+        s = -c / b if b > 0 else dx
+    else:
+        disc = max(b * b - 4.0 * a * c, 0.0)
+        s = 2.0 * (-c) / (b + math.sqrt(disc))
+    s = min(max(s, 0.0), dx)
+    boundary = float(grid[lo + j + 1]) - s
+    w = (1.0 - tail) / dx - 0.5 * b
+    v[:j] = 0.0
+    if w >= 0.0:
+        v[j], first = w, j
+    else:
+        v[j] = 0.0
+        v[j + 1] = (1.0 - back[k - 2]) / dx - 0.5 * v[j + 2]
+        first = j + 1
+    last += int(v[last:].nonzero()[0][-1])
+    return u, boundary, (lo + first, lo + last + 1)
+
+
+def mass_right_of(v, dx):
+    """Trapezoidal mass right of each node of v, summed right to left."""
+    seg = 0.5 * (v[1:] + v[:-1]) * dx
+    return np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+
+
+@st.composite
+def cut_fields(draw):
+    """(grid, u, dx, lo, hi, kind): a density to cut, 0 outside u[lo:hi].
+
+    kind "cell": scaled so that the cut lands at a drawn level inside a
+    drawn cell, within the first few nodes of lo or anywhere right of
+    them; "profile": a grown exp: or pic: start; "rescale": lo = 0 and a
+    mass within 1e-9 below 1; "short": lo > 0 and a mass below 1.  Nonzero
+    values are at least 0.1 before scaling and levels stay off the cells'
+    ends: an error d in a mass moves the boundary by d / u there.
+    """
+    kind = draw(st.sampled_from(["cell", "profile", "rescale", "short"]))
+    dx = draw(st.sampled_from([0.01, 0.0025]))
+    if kind == "profile":
+        spec = draw(st.one_of(
+            st.floats(0.7, 6.0).map(lambda lam: f"exp:{lam}"),
+            st.floats(1.42, 1.85).map(lambda c: f"pic:{c}")))
+        _, init = fitting_window(
+            fbpde.FlowParams(dx=dx, dt=dx / 20, x_window=10.0), spec)
+        return init.grid, init.u * draw(st.floats(1.001, 3.0)), dx, 0, None, \
+            kind
+    n = draw(st.integers(12, 600))
+    lo = 0 if kind == "rescale" else draw(st.integers(0, n // 3))
+    hi = draw(st.integers(lo + 3, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.zeros(n)
+    u[lo:hi] = (0.1 + rng.exponential(size=hi - lo)) * \
+        (rng.random(hi - lo) > 0.2)
+    u[hi - 1] = 0.1 + rng.exponential()
+    if kind == "rescale":   # see test_cut_of_a_mass_just_below_one
+        u[lo] = 0.1 + rng.exponential()
+    grid = draw(st.floats(-10.0, 10.0)) + dx * np.arange(n)
+    right = mass_right_of(u[lo:], dx)
+    if kind == "cell":
+        cells = np.flatnonzero(right[:-1] > right[1:])   # cells with mass
+        if draw(st.booleans()) and cells[0] < 8:
+            cells = cells[cells < 8]
+        j = int(cells[draw(st.integers(0, cells.size - 1))])
+        level = right[j + 1] + draw(st.floats(0.01, 0.99)) * \
+            (right[j] - right[j + 1])
+    elif kind == "rescale":
+        level = right[0] / (1.0 - draw(st.floats(1e-12, 0.9e-9)))
+    else:
+        level = right[0] / draw(st.floats(0.5, 1.0 - 1e-9))
+        lo = max(lo, 1)
+    return grid, u / level, dx, lo, hi, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=cut_fields())
+def test_cut_matches_the_right_to_left_cut(field):
+    grid, u, dx, lo, hi, kind = field
+    ref = right_to_left_cut(grid, u.copy(), dx, lo, hi)
+    got = fbpde._cut_left_mass(grid, u.copy(), dx, lo, hi)
+    if kind == "short":
+        assert ref is None and got is None
+        return
+    (ref_u, ref_b, ref_span), (cut, boundary, span) = ref, got
+    assert span == ref_span
+    assert boundary == pytest.approx(ref_b, abs=1e-12)
+    assert not cut[:span[0]].any() and not cut[span[1]:].any()
+    assert np.trapezoid(cut, grid) == pytest.approx(1.0, abs=1e-12)
+    # the first node's value is the mass left for it over dx; summed right
+    # to left over 16001 nodes that mass is ~1e-15 off, so the value there
+    # is held to the exactly summed mass, and to the other cut's within dx
+    first, scale = span[0], np.abs(ref_u).max()
+    rest = dx * (math.fsum(cut[first + 1:].tolist()) - 0.5 * cut[-1])
+    exact = (1.0 - rest) / (dx if first else 0.5 * dx)
+    assert cut[first] == pytest.approx(exact, abs=1e-12 * scale)
+    if first == 0:
+        # the right-to-left cut counts a half-cell left of the grid's first
+        # node, which has none, and so keeps half the value there
+        ref_u[0] *= 2.0
+    assert abs(cut[first] - ref_u[first]) * dx <= 1e-12
+    cut[first] = ref_u[first]
+    assert np.all(np.abs(cut - ref_u) <= 1e-12 * scale)
+
+
+def test_cut_of_a_mass_just_below_one():
+    # a mass round-off shy of 1 is rescaled to 1 and nothing is cut: the
+    # boundary is the zero node where the support starts, exactly.  The
+    # mass right of that node is flat there, so an error d in it would
+    # move the boundary by ~sqrt(d): the right-to-left cut's is ~1e-8 off
+    grid = np.arange(-2.0, 10.0, 0.01)
+    u = np.where(grid > 0.005, np.exp(-grid), 0.0)
+    u *= (1.0 - 1e-10) / np.trapezoid(u, grid)
+    cut, boundary, span = fbpde._cut_left_mass(grid, u.copy(), 0.01)
+    start = int(np.flatnonzero(u)[0]) - 1
+    assert boundary == grid[start] and span == (start, u.size)
+    np.testing.assert_allclose(cut, u / (1.0 - 1e-10), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lo", [0, 5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_cut_of_a_blown_up_field_raises(bad, lo):
+    grid = np.arange(0.0, 10.0, 0.01)
+    for node in (lo, lo + 300, grid.size - 1):
+        u = np.exp(-grid) * 2.0
+        u[node] = bad
+        with pytest.raises(ArithmeticError, match="scheme blowup"):
+            fbpde._cut_left_mass(grid, u, 0.01, lo, grid.size - 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_under_three_nodes_rejected(n):
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        fbpde._CrankNicolson(n, 0.01, 5e-4)
+    prof = fbpde.Profile(0.01 * np.arange(n), np.ones(n), 0.0, 0.0)
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        fbpde.make_initial(prof, fbpde.FlowParams())
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3],
                          ids=["inf", "nan", "negative"])
 def test_invalid_profile_rejected_before_any_step(bad):
@@ -456,18 +620,20 @@ def zero_padded_fields(draw, n=4001):
 
 
 @settings(max_examples=40, deadline=None)
-@given(field=zero_padded_fields(), left_value=st.sampled_from([0.0, 1.0]))
+@given(field=zero_padded_fields(), left_value=st.sampled_from([0.0, 1.0]),
+       carry=st.booleans())
 @pytest.mark.parametrize("params", SPAN_GRIDS, ids=["r1.25", "r2.5"])
-def test_span_solve_matches_full_solve(params, field, left_value):
+def test_span_solve_matches_full_solve(params, field, left_value, carry):
     v, lo, hi = field
-    x, lo, hi = fbpde._CrankNicolson(v.size, params.dx, params.dt,
-                                     left_value).step(v, lo, hi)
+    x, xlo, _ = fbpde._CrankNicolson(v.size, params.dx, params.dt,
+                                     left_value).step(v, lo, hi, carry)
     ref, _, _ = FullSolveCN(v.size, params.dx, params.dt,
                             left_value).step(v)
-    assert x[lo:].tobytes() == ref[lo:].tobytes()
-    assert not x[:lo].any()
-    # what the span leaves out is within one ulp of 0
-    assert np.all(np.abs(ref[:lo]) <= math.ulp(0.0))
+    # without the carry or a left value the solve starts at the stencil's
+    # left row, where the full solve's x is not 0
+    assert xlo == (0 if carry or left_value else lo - 1)
+    assert x[xlo:].tobytes() == ref[xlo:].tobytes()
+    assert not x[:xlo].any()
 
 
 @settings(max_examples=15, deadline=None)
