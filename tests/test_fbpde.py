@@ -198,7 +198,7 @@ def test_cut_of_a_mass_just_below_one():
     # a mass round-off shy of 1 is rescaled to 1 and nothing is cut: the
     # boundary is the zero node where the support starts, exactly.  The
     # mass right of that node is flat there, so an error d in it would
-    # move the boundary by ~sqrt(d): the right-to-left cut's is ~1e-8 off
+    # move the boundary by ~sqrt(d): the right-to-left cut's is ~1e-9 off
     grid = np.arange(-2.0, 10.0, 0.01)
     u = np.where(grid > 0.005, np.exp(-grid), 0.0)
     u *= (1.0 - 1e-10) / np.trapezoid(u, grid)
