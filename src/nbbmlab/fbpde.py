@@ -27,6 +27,14 @@ from .measures import (EmpiricalMeasure, TailCdf, from_positions, quantile,
                        wasserstein_w)
 
 WINDOW_TAIL_TOL = 1e-10
+# The split-cut cut, after growth, zeroes the density right of its last node
+# >= TAIL_FLOOR: a Brunet-Derrida cutoff at N = 1 / TAIL_FLOOR, whose speed
+# deficit is at most pi^2 / (sqrt(2) ln^2(1 / TAIL_FLOOR)) ~ 1.5e-3 and shows
+# only after ~ln^2(1 / TAIL_FLOOR) ~ 4,800 time units.  Against the unfloored
+# full solve, L moved by at most 5.6e-14 (heaviside to t = 15, pic:1.6 to
+# t = 20, pimin, and criterion 9's 12001-node grid to t = 0.2).  1e-16
+# moved L by up to 4.1e-9; 1e-100 cuts no node of a 4001-node run.
+TAIL_FLOOR = 1e-30
 
 
 @dataclass
@@ -249,40 +257,17 @@ class _CrankNicolson:
     only the interior rows 1 ... n - 2 are solved, with the left value
     folded into row 1's right-hand side.  Their matrix is symmetric and
     strictly diagonally dominant (diagonal 1 + 2r, off-diagonal -r), so it
-    is factored once as L D L^T without pivoting (LAPACK dpttrf).  A step
-    solves (dpttrs: y_i = b_i - y_i-1 e_i-1 down, then x_i = y_i / d_i -
-    x_i+1 e_i up, with e_i = -r / d_i) only the rows [lo, hi) and leaves
-    every other node 0, where [a, z] are the rows at which the right-hand
-    side can be nonzero.  From node lo on this is the full solve of every
-    interior row, bit for bit:
+    is factored once as L D L^T without pivoting (LAPACK dpttrf).
 
-    - Rows from a on are the full solve's.  Left of a the right-hand side
-      is +0.0, so the full forward sweep is +0.0 - (+0.0) e = +0.0 there,
-      and rows from a on come out the same bit for bit wherever left of a
-      the solve starts: back substitution runs right to left.  So the
-      solve starts at a, or at row 1 with the left carry, which the
-      split-cut step asks for only when its cut reaches left of a, since
-      the cut reads no row left of its cell.  It starts a row early when a
-      is the last interior row, as dpttrs scales a lone row by 1 / d
-      where the full solve divides by d.
-    - The solve first stops SHORT_END rows past z, at row end - 1, and
-      keeps that result when its last row is +0.0 and d_i has settled to
-      d_inf = (1 + 2r + sqrt(1 + 4r)) / 2 bit for bit from row end - 1 on
-      (true from a few dozen rows below the top).  That last row is
-      y / d_inf for the forward value y there, so y is +0.0 or a positive
-      subnormal that the division rounds to +0.0.  Past z the right-hand
-      side is +0.0 and e_i = -rho, rho = r / d_inf, so the full forward
-      sweep goes on with fl(rho y): never negative, never -0.0, never
-      larger, and each such row divides to +0.0 too.  Back substitution
-      then gives +0.0 - (+0.0)(-rho) = +0.0 from the last interior row
-      down to row end - 1, which is the short solve's +0.0 there, and left
-      of it both solves run the same operations on the same values.  So
-      rows [lo, end) of the short solve are the full solve's and every row
-      past them is +0.0, as the step leaves them.
-    - Otherwise (the data at z lies far above the subnormals, the sweep
-      there is negative, or end is past the last interior row) the step
-      rebuilds the right-hand side and solves to the window's end: the
-      full solve.
+    A step of a field that is 0 outside v[lo:hi] solves only the rows
+    [lo, end), with end SHORT_END rows right of the stencil's reach or at
+    the window's last node, and leaves every other node 0.  That is, bit
+    for bit, the full solve of the window cut at node end with 0 held
+    there: the cut window's factors are the first rows' factors, and left
+    of the stencil's first row the right-hand side is +0.0, which the
+    forward sweep keeps.  The solve starts at that row, or at row 1 with
+    the left carry; a row early when it is the last interior row, as
+    dpttrs scales a lone row by 1 / d where the full solve divides by d.
     """
 
     SHORT_END = 48
@@ -304,9 +289,6 @@ class _CrankNicolson:
             raise ArithmeticError("singular Crank-Nicolson matrix")
         # d[i - 1] and e[i - 1] belong to row i
         self._d, self._e = d, e
-        # rows from _settled on have d_inf, bit for bit
-        unsettled = np.flatnonzero(d != d[-1])
-        self._settled = int(unsettled[-1]) + 2 if unsettled.size else 1
 
     def _rhs(self, v: np.ndarray, a: int, z: int) -> np.ndarray:
         """The right-hand side: 0 outside the rows [a, z), but for the left
@@ -336,24 +318,19 @@ class _CrankNicolson:
     def step(self, v: np.ndarray, lo: int, hi: int, carry: bool = True):
         """One step of v, which is 0 outside v[lo:hi].
 
-        Returns (x, lo, hi): the new field, 0 outside x[lo:hi].  x is the
-        full solve's, bit for bit, except that without the left carry
-        x[:lo] is left 0, where the full solve need not be.
+        Returns (x, lo, end): the new field, 0 outside x[lo:end].  x is the
+        solve of the window cut at node end, bit for bit, except that
+        without the left carry x[:lo] is left 0, where that solve need not
+        be.  A call with (0, n) is the full solve.
         """
         n = self.n
         # the stencil's reach, within the interior rows
         a, z = max(lo - 1, 1), min(hi + 1, n - 1)
         rhs = self._rhs(v, a, z)
         lo = 0 if self.left_value or carry else min(a, n - 3)
-        end = z + self.SHORT_END
-        if self._settled < end < n - 1:
-            self._solve(rhs, lo, end)
-            last = rhs[end - 1]
-            if last == 0.0 and not np.signbit(last):
-                return rhs, lo, end
-            rhs = self._rhs(v, a, z)
-        self._solve(rhs, lo, n - 1)
-        return rhs, lo, n
+        end = min(z + self.SHORT_END, n - 1)
+        self._solve(rhs, lo, end)
+        return rhs, lo, end
 
 
 def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
@@ -363,20 +340,24 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
     Cuts u, finite and non-negative, in place and returns it with the
     sub-cell boundary and the span (lo, hi) outside which it is now 0.  The
     node just left of the boundary keeps the partial-cell value that makes
-    the trapezoidal mass exactly 1.  Only u[lo:hi] is read: the density is
+    the trapezoidal mass exactly 1, and the nodes right of the last one at
+    or above TAIL_FLOOR are zeroed.  Only u[lo:hi] is read: the density is
     0 outside it, or unsolved left of lo > 0, and then the cut returns None
-    unless the mass right of lo is at least 1.  The mass right of the cut
-    cell is summed from it to the last nonzero node: its bits do not depend
-    on how far left the solve ran or on the zeros past the end.
+    unless the mass right of lo is at least 1.  The span's mass is summed
+    once, to that last node; the mass right of the cut cell is that less
+    the mass left of the cell, summed on the way to it.
     """
     end = u.size if hi is None else min(hi + 2, u.size)
     v = u[lo:end]            # with the zero nodes that close the span's cells
-    # the last nonzero node, a few dozen zeros back after a short solve
+    # the tail floor: the last node not below TAIL_FLOOR (NaN is not, so a
+    # blowup reaches the check below), a few dozen nodes back after a step,
+    # which moves it a node or two
     back = max(v.size - 64, 0)
-    nz = v[back:].nonzero()[0]
-    if not nz.size:
-        back, nz = 0, np.append(0, v.nonzero()[0])
-    last = back + int(nz[-1])
+    kept = np.flatnonzero(~(v[back:] < TAIL_FLOOR))
+    if not kept.size:
+        back, kept = 0, np.append(0, np.flatnonzero(~(v < TAIL_FLOOR)))
+    last = back + int(kept[-1])
+    v[last + 1:] = 0.0
     mass = dx * (float(v[:last + 1].sum()) - 0.5 * float(v[0] + v[-1]))
     if mass < 1.0 and lo > 0:
         return None
@@ -385,32 +366,37 @@ def _cut_left_mass(grid: np.ndarray, u: np.ndarray, dx: float, lo: int = 0,
     if mass < 1.0:  # round-off shy of 1: rescale within the guard
         v /= mass
     # j: the last node with mass >= 1 right of it, found from the left, as a
-    # step's cut lies a few nodes right of lo
-    excess, left = max(mass - 1.0, 0.0), 0.0
+    # step's cut lies a few nodes right of lo; e: the mass right of node j
+    # beyond 1, the excess less the few cells' mass left of node j
+    excess, e, left = max(mass - 1.0, 0.0), 0.0, 0.0
     head = v[:9].tolist()
     for j in range(len(head) - 1):
+        e = excess - left
         left += 0.5 * (head[j] + head[j + 1]) * dx
         if left > excess:
             break
-    else:   # not within the first 8 cells
+    else:   # not within the first 8 cells: e is summed afresh from node
+        # j, as a running sum drifts over that many cells; at unit mass it
+        # stays 0
         j = int(np.cumsum((v[:-1] + v[1:]) * (0.5 * dx)).searchsorted(
             excess, side="right"))
+        if excess > 0.0:
+            e = dx * (float(v[j:last + 1].sum()) - 0.5 * float(v[j] + v[-1])) \
+                - 1.0
     vj, b = float(v[j]), float(v[j + 1])
-    # e: the mass right of node j beyond 1; at unit mass nothing is cut
-    e = dx * (float(v[j:last + 1].sum()) - 0.5 * float(vj + v[-1])) - 1.0 \
-        if excess > 0.0 else 0.0
     # the boundary lies t into the cell, where the linear density's mass
     # from g_j is e: vj t + (b - vj) t^2 / (2 dx) = e
     den = vj + math.sqrt(max(vj * vj + 2.0 * (b - vj) * e / dx, 0.0))
     t = min(max(2.0 * e / den, 0.0), dx) if den > 0.0 else 0.0
     boundary = float(grid[lo + j]) + t
     # node j keeps the value that makes the trapezoidal mass exactly 1,
-    # counting the half-cell on its left (the grid's first node has none);
+    # counting the half-cells beside it (the grid's end nodes have one);
     # below 0, node j + 1 takes the rest
     w = 0.5 * vj - e / dx
     first = j if w >= 0.0 else j + 1
     v[:first] = 0.0
-    v[first] = (w if lo + j else 2.0 * w) if first == j else b + w
+    half = 2.0 if lo + first in (0, u.size - 1) else 1.0
+    v[first] = half * w if first == j else b + half * w
     return u, boundary, (lo + first, lo + last + 1)
 
 

@@ -23,11 +23,15 @@ estimate or the PDE steppers.  The batteries:
 - ``gaps_leftmost`` and ``gaps_median``: snapshot_gaps of stationary
   ensembles at N = 16, 64 and 1000;
 - ``velocity``: estimate_velocity;
-- ``pde``: solve_density from heaviside to t = 15 with saves at 5, 10
-  and 15 on the default grid, from heaviside on criterion 9's fine grid
-  to t = 0.2, from exp:1.2 and from a point mass at 1; and solve_cdf's
-  penalised flow from exp:1.2.  It runs no particle code, so it must not
-  move when only the particle engines change.
+- ``pde``: solve_density, the split-cut scheme, from heaviside to t = 15
+  with saves at 5, 10 and 15 on the default grid, from heaviside on
+  criterion 9's fine grid to t = 0.2, from exp:1.2 and from a point mass
+  at 1;
+- ``pde_penalised``: solve_cdf's penalised flow from exp:1.2.
+
+The two PDE batteries run no particle code, so they must not move when
+only the particle engines change, and each moves without the other when
+only its own scheme changes.
 
 With battery names as arguments only those run, in the order given (so a
 PDE-only change can prove its digest with ``engine_digests.py pde``); an
@@ -162,6 +166,10 @@ def pde_battery(d: Digest) -> None:
         d.add(traj.times, traj.boundary)
         for prof in traj.profiles:
             d.add(prof.t, prof.boundary, prof.grid, prof.u)
+
+
+def pde_penalised_battery(d: Digest) -> None:
+    from nbbmlab import fbpde
     pen = fbpde.solve_cdf("exp:1.2", 2.0, fbpde.FlowParams(scheme="penalised"),
                           save_times=(1.0, 2.0))
     d.add(pen.times, pen.boundary, pen.tail_times)
@@ -179,6 +187,7 @@ BATTERIES = {
     "gaps_median": gaps_battery("median"),
     "velocity": velocity_battery,
     "pde": pde_battery,
+    "pde_penalised": pde_penalised_battery,
 }
 
 

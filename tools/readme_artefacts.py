@@ -6,8 +6,10 @@ Each ``nbbmlab ...`` line of the README's shell block runs in-process with
 the same flags, with sizes (--n, --replicas, --paths) and times (--t,
 --save, --horizon, --burn-in, --log-interval) scaled down.  All examples
 run from one fresh temporary working directory, so the relative --out
-paths, which resolved-config.json records, are the same on every checkout.  One line per example: exit code, SHA-256 of its
-manifest.json (or "-" when none was written) and the reduced command.
+paths, which resolved-config.json records, are the same on every checkout;
+the directory is removed afterwards.  One line per example: exit code,
+SHA-256 of its manifest.json (or "-" when none was written) and the
+reduced command.
 Running this on two checkouts and diffing the outputs shows whether a change
 altered any fixed-seed artefact.
 """
@@ -65,19 +67,28 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from nbbmlab import cli
 
-    os.chdir(tempfile.mkdtemp(prefix="readme-artefacts-"))
-    for argv in examples:
-        argv = reduced(argv)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="readme-artefacts-") as work:
+        os.chdir(work)
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.run(argv)
-        except Exception as exc:  # an uncaught exception exits 1 from the shell
-            code = f"1 ({type(exc).__name__}: {exc})"
-        manifest = _out_dir(argv, argv[0]) / "manifest.json"
-        digest = hashlib.sha256(manifest.read_bytes()).hexdigest() \
-            if code == 0 and manifest.exists() else "-"
-        print(f"exit={code} manifest={digest} nbbmlab {shlex.join(argv)}",
-              flush=True)
+            for argv in examples:
+                print(_run_example(cli, argv), flush=True)
+        finally:
+            os.chdir(home)
+
+
+def _run_example(cli, argv: list) -> str:
+    """The reduced example's line: exit code, manifest digest, command."""
+    argv = reduced(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(argv)
+    except Exception as exc:  # an uncaught exception exits 1 from the shell
+        code = f"1 ({type(exc).__name__}: {exc})"
+    manifest = _out_dir(argv, argv[0]) / "manifest.json"
+    digest = hashlib.sha256(manifest.read_bytes()).hexdigest() \
+        if code == 0 and manifest.exists() else "-"
+    return f"exit={code} manifest={digest} nbbmlab {shlex.join(argv)}"
 
 
 if __name__ == "__main__":
