@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import from_positions, wasserstein_w
-from .nbbm import _CELLS, ParticleSystem, _Clock, _steps, new_system
+from .nbbm import (_CELLS, ParticleSystem, _Clock, _steps, check_end,
+                   new_system)
 
 
 def monge_match(x, y) -> np.ndarray:
@@ -137,8 +138,7 @@ def step_coupled(cp: CoupledPair) -> None:
 
 
 def advance_coupled(cp: CoupledPair, t_end: float) -> None:
-    if t_end < cp.time:
-        raise ValueError("t_end before current time")
+    check_end(cp.time, t_end)
     _run(cp, t_end)
 
 
@@ -189,6 +189,7 @@ def supermartingale_increments(n: int, init_a, init_b, t_end: float,
     Under the coupling these average to at most zero: the distance gains
     at most W/N per event in expectation and never grows between events.
     """
+    check_end(0.0, t_end)
     cp = new_coupled(n, init_a, init_b, seed=seed)
     w = [cp.distance()]   # W(0), then W(t_k-), W(t_k) for each event k
     _run(cp, t_end, probe=lambda: w.append(cp.distance()))

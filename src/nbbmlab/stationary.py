@@ -30,8 +30,8 @@ def default_burn_in(n: int) -> float:
 
 
 def check_span(burn_in: float, horizon: float) -> None:
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn-in")
+    if not burn_in < horizon < math.inf:
+        raise ValueError("horizon must be finite and exceed burn-in")
 
 
 def sample_span(n: int, burn_in: float = None, horizon: float = None,

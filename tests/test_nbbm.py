@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nbbmlab import nbbm, waves
+from nbbmlab import coupling, nbbm, stationary, waves
 from nbbmlab.measures import gap_mean, w1_to_analytic
 
 
@@ -285,6 +285,30 @@ def test_trajectory_log_needs_positive_interval(tmp_path, interval):
         nbbm.log_trajectory(ps, 1.0, interval, tmp_path / "traj.csv")
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("run", [
+    lambda t, path: nbbm.advance_to(nbbm.new_system(8, "pimin", seed=1), t),
+    lambda t, path: nbbm.advance_to(nbbm.new_system(2048, "pimin", seed=1),
+                                    t),
+    lambda t, path: nbbm.log_trajectory(nbbm.new_system(8, "pimin", seed=1),
+                                        t, 0.5, path),
+    lambda t, path: coupling.advance_coupled(
+        coupling.new_coupled(8, "pimin", "pimin", seed=1), t),
+    lambda t, path: coupling.supermartingale_increments(8, "pimin", "pimin",
+                                                        t, seed=1),
+    lambda t, path: stationary.check_span(10.0, t),
+    lambda t, path: stationary.birkhoff_identity_check(8, t, seed=1),
+], ids=["advance_to", "advance_to_lazy", "log_trajectory", "advance_coupled",
+        "supermartingale_increments", "check_span", "birkhoff_identity_check"])
+def test_non_finite_end_time_is_rejected(tmp_path, run, t_end):
+    # NaN or an infinite end would loop forever (or, in the lazy loop, fail
+    # on a complex number); each entry point raises before any work
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match="finite"):
+        run(t_end, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # the lazy loop (nbbm._LazyCall): its representation, invariants and oracle
 # ---------------------------------------------------------------------------
@@ -411,21 +435,19 @@ ORDER_OPS = st.lists(st.tuples(st.sampled_from(["merge", "take", "first",
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=ORDER_OPS, bound=st.integers(0, 12))
-# equal keys in the main and the side run, popped and then merged together
-@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("pop", [], 0)],
-         bound=1)
-@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("take", [], 6)],
-         bound=1)
+@given(ops=ORDER_OPS)
+# equal keys in older and newer batches, popped and then merged together
+@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("pop", [], 0)])
+@example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("take", [], 6)])
 @example(ops=[("merge", [0, 1], 0), ("merge", [2], 0), ("merge", [3], 0),
-              ("take", [], 6)], bound=1)
-def test_order_against_a_sorted_list(ops, bound):
+              ("take", [], 6)])
+def test_order_against_a_sorted_list(ops):
     # nbbm._Order against the live (key, id) pairs kept by brute force: an
     # entry is live while its particle is passive (slot < 0) with that key
     m = 10
     slot = np.zeros(m, dtype=np.intp)           # all active at first
     key = np.full(m, -1.0)
-    order = nbbm._Order(slot, key, bound)
+    order = nbbm._Order(slot, key)
     entries, used, ages = [], {i: set() for i in range(m)}, iter(range(99))
 
     def live():
@@ -451,6 +473,8 @@ def test_order_against_a_sorted_list(ops, bound):
             age = next(ages)
             entries.extend((k, age, i) for k, i in zip(keys, ids))
             order.merge(keys, np.array(ids, dtype=np.intp))
+            # one run: a merge leaves exactly the live entries unread
+            assert order.keys.size - order.head == len(live())
         elif op == "take":
             # in key order, older entries first on ties (a batch's own ties
             # in any order)
