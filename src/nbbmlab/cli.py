@@ -511,7 +511,7 @@ def _check_scales(sub: str, cfg: dict) -> None:
             for n in _numbers(cfg["n"], int):
                 stationary.sample_span(n, cfg["burn_in"], cfg["horizon"],
                                        **spacing)
-    except (ValueError, OverflowError) as exc:   # no or too many snapshots
+    except ValueError as exc:   # no or too many snapshots
         raise ConfigError(f"conflicting scale parameters: {exc}") from exc
 
 

@@ -7,6 +7,10 @@ both systems), otherwise the leftmost particle of each system jumps, the
 jump targets tied together through a matching of the clouds with the two
 leftmost particles removed.  Marginally each system is an exact
 selection-jump process at rate N - 1.
+
+Each system is stored in rank order at every event, so the rank matching
+is index k <-> index k and nothing has to track it.  With tied values the
+multiset of matched pairs is the same for every tie order.
 """
 
 import math
@@ -19,26 +23,12 @@ from .nbbm import (_CELLS, ParticleSystem, _Clock, _steps, check_end,
                    new_system)
 
 
-def monge_match(x, y) -> np.ndarray:
-    """Rank matching of two equal-length clouds: i -> perm[i] pairs by order.
-
-    Optimal for cost |x - y|; for the capped cost it can overpay on clouds
-    separated beyond the cap.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("length mismatch")
-    perm = np.empty(x.size, dtype=int)
-    perm[np.argsort(x, kind="stable")] = np.argsort(y, kind="stable")
-    return perm
-
-
 @dataclass
 class CoupledPair:
+    """Two systems paired by index: ps_a.positions[k] is matched with
+    ps_b.positions[k], and both clouds are in rank order at every event."""
     ps_a: ParticleSystem
     ps_b: ParticleSystem
-    matching: np.ndarray
     rng: np.random.Generator
     # the shared event clock's pending rings (nbbm._Clock)
     clock: _Clock = field(default_factory=_Clock)
@@ -62,55 +52,24 @@ def new_coupled(n: int, init_a, init_b, seed=None) -> CoupledPair:
     rng = np.random.default_rng(seed)
     ps_a = new_system(n, init_a, seed=rng)
     ps_b = new_system(n, init_b, seed=rng)
-    return CoupledPair(ps_a=ps_a, ps_b=ps_b,
-                       matching=monge_match(ps_a.positions, ps_b.positions),
-                       rng=rng)
-
-
-def _event(cp: CoupledPair, pick: int) -> None:
-    """The coupled jump, leaving cp.matching the rank matching after it.
-
-    ``pick`` is uniform on 0..N-1: N - 1 is the synchronous self-jump (a
-    no-op for both systems, probability 1/N), any other value picks the
-    jump source among the N - 1 particles of system a other than i*.
-    One stable argsort per cloud gives the leftmost particles i*, j* (lowest
-    index on ties) and the rank matching perm.  Without the rank-0 pair every
-    other atom stays paired by rank, so the jump source i takes its target
-    from perm[i].  The jump moves i* next to i and j* next to perm[i], both at
-    i's rank, so the new rank matching is perm with those two pairs re-paired
-    by index order; a third atom tying a copied value reorders the ties, and
-    then the matching is recomputed.
-    """
-    n = cp.n
-    pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
-    order_a = pos_a.argsort(kind="stable")
-    order_b = pos_b.argsort(kind="stable")
-    perm = cp.matching = np.empty(n, dtype=int)
-    perm[order_a] = order_b
-    if pick == n - 1:
-        return  # synchronous self-jump: both systems unchanged
-    i_star, j_star = order_a[0], order_b[0]
-    i = pick + 1 if pick >= i_star else pick
-    j = perm[i]
-    x = pos_a[i_star] = pos_a[i]
-    y = pos_b[j_star] = pos_b[j]
-    if np.count_nonzero(pos_a == x) == 2 and np.count_nonzero(pos_b == y) == 2:
-        perm[min(i_star, i)] = min(j_star, j)
-        perm[max(i_star, i)] = max(j_star, j)
-    else:
-        cp.matching = monge_match(pos_a, pos_b)
-    cp.ps_a.n_events += 1
-    cp.ps_b.n_events += 1
+    ps_a.positions.sort()
+    ps_b.positions.sort()
+    return CoupledPair(ps_a=ps_a, ps_b=ps_b, rng=rng)
 
 
 def _run(cp: CoupledPair, t_end: float, events=math.inf, probe=lambda: None):
     """The coupled event loop: up to ``events`` shared events before t_end.
 
     Draws like nbbm._run: the shared event clock (rate N; a pick of N - 1
-    is the self-jump) in blocks, and one Gaussian row per event for both
-    systems.  When the next event would fall after t_end, diffuse the
+    is the self-jump) in blocks, and one Gaussian row per event, added to
+    both clouds by index.  Sorting both clouds then makes index k <-> k the
+    rank matching.  On a pick p < N - 1 the leftmost of each system (rank
+    0) takes the value of rank p + 1: in system a a uniform choice among
+    the other particles, in system b its partner.  Pairing by index
+    stays a rank matching after the copy, so the next row is shared by
+    matched pairs.  When the next event would fall after t_end, diffuse the
     remaining time and stop.  ``probe()`` runs just before and just after
-    each event (jump and rematch).
+    each jump.
     """
     n, rng, clock = cp.n, cp.rng, cp.clock
     pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
@@ -119,16 +78,22 @@ def _run(cp: CoupledPair, t_end: float, events=math.inf, probe=lambda: None):
         times, picks = clock.take(rng, cp.time, t_end, n, min(events, room))
         for row, pick, t in zip(_steps(rng, cp.time, times, n), picks, times):
             pos_a += row
-            pos_b[cp.matching] += row
+            pos_b += row
+            pos_a.sort()
+            pos_b.sort()
             cp.ps_a.time = cp.ps_b.time = t
             probe()
-            _event(cp, pick)
+            if pick < n - 1:              # n - 1: the synchronous self-jump
+                pos_a[0] = pos_a[pick + 1]
+                pos_b[0] = pos_b[pick + 1]
+                cp.ps_a.n_events += 1
+                cp.ps_b.n_events += 1
             probe()
         events -= len(picks)
     if events > 0:                        # diffuse to t_end
         row = _steps(rng, cp.time, [t_end], n)[0]
         pos_a += row
-        pos_b[cp.matching] += row
+        pos_b += row
         cp.ps_a.time = cp.ps_b.time = t_end
 
 

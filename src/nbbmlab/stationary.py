@@ -39,10 +39,15 @@ def sample_span(n: int, burn_in: float = None, horizon: float = None,
     """Burn-in, horizon and snapshot count of estimate_stationary."""
     burn_in = default_burn_in(n) if burn_in is None else float(burn_in)
     horizon = burn_in + 200.0 if horizon is None else float(horizon)
-    count = int(math.floor((horizon - burn_in) / delta_sample))
+    check_span(burn_in, horizon)
+    if not 0.0 < delta_sample < math.inf:
+        raise ValueError("delta_sample must be positive and finite")
+    count = (horizon - burn_in) / delta_sample
     if count < 1:
         raise ValueError("horizon must exceed burn-in by one sampling interval")
-    return burn_in, horizon, count
+    if count == math.inf:
+        raise ValueError("too many snapshots")
+    return burn_in, horizon, int(count)
 
 
 def batch_means_se(x) -> float:
@@ -121,6 +126,7 @@ def estimate_velocity(n: int, horizon: float, n_replicas: int, seed=None,
         raise ValueError("velocity needs at least two particles")
     check_span(burn_in, horizon)
     seeds = np.random.SeedSequence(seed).spawn(n_replicas)
+    waves._lambertw()   # the pimin start's import, once before the pool forks
     slopes = np.asarray(map_ordered(
         _velocity_replica,
         [(n, burn_in, horizon, s) for s in seeds]))

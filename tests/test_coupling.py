@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from nbbmlab import coupling, nbbm, waves
+from nbbmlab.measures import from_positions, wasserstein_w1
 
 
-def capped_cost(x, y, perm):
-    """Mean capped displacement of the matching i -> perm[i]."""
-    return float(np.minimum(np.abs(np.asarray(x) - np.asarray(y)[perm]),
-                            1.0).mean())
+def capped_cost(x, y):
+    """Mean capped displacement of the pairing of x and y by index."""
+    return float(np.minimum(np.abs(np.asarray(x) - np.asarray(y)), 1.0).mean())
 
 
 def brute_force_capped(x, y):
@@ -24,36 +24,46 @@ def brute_force_capped(x, y):
                for p in itertools.permutations(range(n)))
 
 
+def index_cost(cp):
+    """Capped cost of the coupling's own matching: index k <-> index k."""
+    return capped_cost(cp.ps_a.positions, cp.ps_b.positions)
+
+
 def test_monge_match_identity_and_example():
+    # the pair stores both clouds sorted, so index pairing is the rank matching
     x = np.array([2.0, 0.0, 1.0])
-    perm = coupling.monge_match(x, x)
-    assert capped_cost(x, x, perm) == 0.0
-    x, y = np.array([0.0, 1.0]), np.array([0.0, 2.0])
-    perm = coupling.monge_match(x, y)
-    assert capped_cost(x, y, perm) == pytest.approx(0.5)
+    assert index_cost(coupling.new_coupled(3, x, x)) == 0.0
+    cp = coupling.new_coupled(2, [1.0, 0.0], [0.0, 2.0])
+    assert index_cost(cp) == pytest.approx(0.5)
     assert brute_force_capped([0, 1], [0, 2]) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="length mismatch"):
-        coupling.monge_match([0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="length n"):
+        coupling.new_coupled(2, [0.0], [0.0, 1.0])
 
 
 def test_monge_match_optimal_within_unit_window():
-    # all displacements below the cap: rank matching solves the problem
+    # all displacements below the cap: rank matching solves the problem, and
+    # after jumps pairing by index is still a rank matching (optimal for W1)
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = int(rng.integers(2, 8))
         x = rng.uniform(0, 0.95, n)
         y = rng.uniform(0, 0.95, n)
-        perm = coupling.monge_match(x, y)
-        assert capped_cost(x, y, perm) == \
+        cp = coupling.new_coupled(n, x, y, seed=int(rng.integers(2 ** 32)))
+        assert index_cost(cp) == \
             pytest.approx(brute_force_capped(x, y), abs=1e-12)
+        for _ in range(5):
+            coupling.step_coupled(cp)
+            a, b = cp.ps_a.positions, cp.ps_b.positions
+            assert np.abs(a - b).mean() == pytest.approx(
+                wasserstein_w1(from_positions(a), from_positions(b)),
+                abs=1e-12)
 
 
 def test_monge_match_saturated_counterexample():
     # far clouds: one saturated pair cheaper than the rank coupling
-    x = np.array([0.0, 0.4])
-    y = np.array([0.7, 1.3])
-    perm = coupling.monge_match(x, y)
-    assert capped_cost(x, y, perm) == pytest.approx(0.8)
+    x = np.array([0.4, 0.0])
+    y = np.array([1.3, 0.7])
+    assert index_cost(coupling.new_coupled(2, x, y)) == pytest.approx(0.8)
     assert brute_force_capped(x, y) == pytest.approx(0.65)
 
 
@@ -77,7 +87,6 @@ def test_step_coupled_matches_advance_coupled(k):
     for a, b in ((cp.ps_a, twin.ps_a), (cp.ps_b, twin.ps_b)):
         np.testing.assert_array_equal(b.positions, a.positions)
         assert b.n_events == a.n_events
-    np.testing.assert_array_equal(twin.matching, cp.matching)
 
 
 def test_translation_preserved_exactly():
@@ -155,15 +164,23 @@ def test_coupled_needs_two_particles_and_valid_mode():
 
 
 # ---------------------------------------------------------------------------
-# The coupled event against its former two-sort implementation
+# The coupled event against a reference that tracks its matching
 # ---------------------------------------------------------------------------
+
+def rank_match(x, y):
+    """Rank matching of two equal-length clouds: i -> perm[i] pairs by order
+    (stable on ties)."""
+    perm = np.empty(len(x), dtype=int)
+    perm[np.argsort(x, kind="stable")] = np.argsort(y, kind="stable")
+    return perm
+
 
 def _restricted_match(pos_a, pos_b, skip_a, skip_b):
     """Rank matching between the clouds with one index removed from each."""
     n = pos_a.size
     idx_a = np.delete(np.arange(n), skip_a)
     idx_b = np.delete(np.arange(n), skip_b)
-    sub = coupling.monge_match(pos_a[idx_a], pos_b[idx_b])
+    sub = rank_match(pos_a[idx_a], pos_b[idx_b])
     out = np.full(n, -1, dtype=int)
     out[idx_a] = idx_b[sub]
     return out
@@ -182,7 +199,7 @@ def reference_event(cp, self_jump, pick):
         pos_b[j_star] = pos_b[iota[i]]
         cp.ps_a.n_events += 1
         cp.ps_b.n_events += 1
-    cp.matching = coupling.monge_match(pos_a, pos_b)
+    cp.matching = rank_match(pos_a, pos_b)
 
 
 def reference_diffuse(cp, dt):
@@ -197,8 +214,11 @@ def reference_diffuse(cp, dt):
 def reference_run(cp, t_end, events=math.inf):
     """The coupled loop with scalar draws: per event one exponential wait,
     one shared Gaussian vector, a self-jump coin and, unless it is a
-    self-jump, a pick; the wait that overshoots t_end is discarded."""
+    self-jump, a pick; the wait that overshoots t_end is discarded.  The
+    reference keeps its own matching, the rank matching at the start."""
     n, rng = cp.n, cp.rng
+    if not hasattr(cp, "matching"):
+        cp.matching = rank_match(cp.ps_a.positions, cp.ps_b.positions)
     while events > 0:
         dt = rng.exponential(1.0 / n)
         if cp.time + dt > t_end:
@@ -262,26 +282,57 @@ def lattice_cloud(rng, n, lattice_share):
     return np.where(on_lattice, 0.5 * rng.integers(0, 4, n), rng.normal(size=n))
 
 
+def matched_pairs(pos_a, pos_b):
+    """The matched (a, b) pairs as rows in lexicographic order: the
+    multiset of pairs, whatever the labels."""
+    order = np.lexsort((pos_b, pos_a))
+    return np.column_stack([pos_a[order], pos_b[order]])
+
+
+def diffuse_pairs(pos_a, pos_b, partner, g):
+    """Add g[k] to both atoms of the k-th matched pair in lexicographic
+    order (a -> partner[a] in b), so identical pairs stay identical."""
+    order = np.lexsort((pos_b[partner], pos_a))
+    pos_a[order] += g
+    pos_b[partner[order]] += g
+
+
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
        lattice_share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
        diffuse_every=st.integers(1, 6))
 def test_event_matches_reference(n, seed, lattice_share, diffuse_every):
+    # the rank-order event (one ring of the clock at the present time, so
+    # its Gaussian row is zero) against the reference on the same clouds,
+    # labelled as drawn: the reference's source is the particle of the
+    # rank that the pick selects in the sorted cloud
     rng = np.random.default_rng(seed)
     pos_a = lattice_cloud(rng, n, lattice_share)
     pos_b = lattice_cloud(rng, n, lattice_share)
-    pairs = [coupling.new_coupled(n, pos_a, pos_b, seed=seed) for _ in range(2)]
+    new, ref = (coupling.new_coupled(n, pos_a, pos_b, seed=seed)
+                for _ in range(2))
+    ref.ps_a.positions, ref.ps_b.positions = pos_a.copy(), pos_b.copy()
+    ref.matching = rank_match(pos_a, pos_b)
     for step in range(40):
         if step and step % diffuse_every == 0:   # break some ties, keep others
-            for cp in pairs:
-                reference_diffuse(cp, 0.01)
+            for cp, partner in ((new, np.arange(n)), (ref, ref.matching)):
+                diffuse_pairs(cp.ps_a.positions, cp.ps_b.positions, partner,
+                              0.1 * cp.rng.standard_normal(n))
         pick = int(rng.integers(n))   # n - 1 is the self-jump
-        coupling._event(pairs[0], pick)
-        reference_event(pairs[1], pick == n - 1, pick)
-        new, ref = pairs
-        assert new.ps_a.positions.tobytes() == ref.ps_a.positions.tobytes()
-        assert new.ps_b.positions.tobytes() == ref.ps_b.positions.tobytes()
-        np.testing.assert_array_equal(new.matching, ref.matching)
+        new.clock = nbbm._Clock([new.time], [pick])
+        coupling.step_coupled(new)
+        reference_diffuse(ref, 0.0)
+        i_star = int(np.argmin(ref.ps_a.positions))
+        if pick < n - 1:
+            i = int(np.argsort(ref.ps_a.positions, kind="stable")[pick + 1])
+            pick = i - 1 if i > i_star else i
+        reference_event(ref, pick == n - 1, pick)
+        for x, y in ((new.ps_a.positions, ref.ps_a.positions),
+                     (new.ps_b.positions, ref.ps_b.positions)):
+            assert np.sort(x).tobytes() == np.sort(y).tobytes()
+        assert matched_pairs(new.ps_a.positions, new.ps_b.positions).tobytes() \
+            == matched_pairs(ref.ps_a.positions,
+                             ref.ps_b.positions[ref.matching]).tobytes()
         assert new.ps_a.n_events == ref.ps_a.n_events
         assert new.ps_b.n_events == ref.ps_b.n_events
         assert new.rng.bit_generator.state == ref.rng.bit_generator.state

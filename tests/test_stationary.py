@@ -42,6 +42,22 @@ def test_estimate_stationary_contracts():
     assert ens.mean_profile.values[-1] == 0.0
 
 
+@pytest.mark.parametrize("burn_in, horizon, delta_sample, match", [
+    (10.0, math.inf, 1.0, "finite"),
+    (10.0, math.nan, 1.0, "finite"),
+    (math.nan, 20.0, 1.0, "finite"),
+    (10.0, 20.0, 0.0, "delta_sample"),
+    (10.0, 20.0, -1.0, "delta_sample"),
+    (10.0, 20.0, math.inf, "delta_sample"),
+    (10.0, 20.0, math.nan, "delta_sample"),
+    (0.0, 1e308, 1e-10, "too many"),   # the count overflows a float
+])
+def test_sample_span_rejects_by_check(burn_in, horizon, delta_sample, match):
+    # each bad span raises ValueError from a check, not from the arithmetic
+    with pytest.raises(ValueError, match=match):
+        stationary.sample_span(64, burn_in, horizon, delta_sample)
+
+
 def test_median_centring_snapshots():
     ens = stationary.estimate_stationary(5, burn_in=10.0, horizon=40.0,
                                          centring="median", seed=3)

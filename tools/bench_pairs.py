@@ -10,7 +10,8 @@ repository, or a git revision of this repository, which the script
 exports with ``git archive`` into a temporary directory and removes after
 the runs.  The report records each side's full commit id: the revision's,
 or for a directory the HEAD of the git work tree it is in (null when it is
-in none).  For each job (by default every
+in none), marked ``-dirty`` when tracked files under the directory have
+uncommitted changes.  For each job (by default every
 workload of BENCHMARK.json at seed 1) the script runs the checkout's own
 ``bench/run.py --workload W --seed S --seconds T --trace X`` once per side
 and pair, with T the ``run_seconds`` of BENCHMARK.json, for PAIRS pairs
@@ -125,9 +126,17 @@ def _summary(metrics, parent_runs, change_runs) -> dict:
 
 
 def _version(checkout: Path):
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+    """HEAD of the git work tree holding the directory, with "-dirty"
+    appended when tracked files in it differ from HEAD; None outside git."""
+    git = ["git", "-C", str(checkout)]
+    proc = subprocess.run(git + ["rev-parse", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode:
+        return None
+    status = subprocess.run(git + ["status", "--porcelain",
+                                   "--untracked-files=no", "--", "."],
+                            capture_output=True, text=True, check=True)
+    return proc.stdout.strip() + ("-dirty" if status.stdout else "")
 
 
 def _checkout(arg: str, dest: Path):

@@ -109,12 +109,11 @@ def coupling_battery(d: Digest) -> None:
             cp = coupling.new_coupled(n, a, b, seed=100 * n + k)
             for _ in range(50):
                 coupling.step_coupled(cp)
-                d.add(cp.ps_a.positions, cp.ps_b.positions, cp.matching)
+                d.add(cp.ps_a.positions, cp.ps_b.positions)
             for t in (0.5, 1.0, 2.0):
                 coupling.advance_coupled(cp, cp.time + t)
-                d.add(cp.ps_a.positions, cp.ps_b.positions, cp.matching,
-                      cp.time, cp.ps_a.n_events, cp.ps_b.n_events,
-                      cp.distance())
+                d.add(cp.ps_a.positions, cp.ps_b.positions, cp.time,
+                      cp.ps_a.n_events, cp.ps_b.n_events, cp.distance())
 
 
 def supermartingale_battery(d: Digest) -> None:
