@@ -69,7 +69,7 @@ def _run(cp: CoupledPair, t_end: float, events=math.inf, probe=lambda: None):
     stays a rank matching after the copy, so the next row is shared by
     matched pairs.  When the next event would fall after t_end, diffuse the
     remaining time and stop.  ``probe()`` runs just before and just after
-    each jump.
+    each event, self-jumps included.
     """
     n, rng, clock = cp.n, cp.rng, cp.clock
     pos_a, pos_b = cp.ps_a.positions, cp.ps_b.positions
